@@ -29,7 +29,7 @@ def _is_constant_coeff(c):
 def _constant_value(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
-    return c.constant_value()
+    return Fraction(c.constant_value())
 
 
 class BranchParametrization:
@@ -155,19 +155,20 @@ class StandardBasisOf:
     gamma: NumericalSemigroup
 
 
-def _cancel_leading(target_poly, target_pull, lc, prod_poly, prod_pull, lp):
-    """Subtract a multiple of prod from target so their leading terms cancel.
+def _cancel(target, lc, reducer, lp):
+    """Subtract a multiple of reducer from target so their leading terms cancel.
 
-    When the leading coefficient of prod is constant this is an ordinary
-    subtraction; otherwise the target is cross-multiplied by lp (nonzero
-    under the run's assumptions), which preserves all orders.
+    target and reducer are tuples of whatever the caller tracks (always a
+    pullback series, plus its polynomial or 1-form when those are read); one
+    linear combination is applied to every component.  lc and lp are the
+    leading coefficients of target and reducer.  When lp is constant this is
+    an ordinary subtraction; otherwise the target is cross-multiplied by lp
+    (nonzero under the run's assumptions), which preserves all orders.
     """
     if _is_constant_coeff(lp):
         lam = lc / _constant_value(lp)
-        return (target_poly - prod_poly.scale(lam),
-                target_pull - prod_pull.scale(lam))
-    return (target_poly.scale(lp) - prod_poly.scale(lc),
-            target_pull.scale(lp) - prod_pull.scale(lc))
+        return tuple(t - r.scale(lam) for t, r in zip(target, reducer))
+    return tuple(t.scale(lp) - r.scale(lc) for t, r in zip(target, reducer))
 
 
 def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
@@ -212,7 +213,7 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
         if o % v[0] != 0:
             raise DomainError(f"unexpected order {o} while normalizing y to value {v[1]}")
         k = o // v[0]
-        h_poly, h_pull = _cancel_leading(h_poly, h_pull, c, x_poly ** k, xs ** k, 1)
+        h_pull, h_poly = _cancel((h_pull, h_poly), c, (xs ** k, x_poly ** k), 1)
     lc = h_pull.coeffs[v[1]]
     if (is_zero(lc) if is_zero is not None else not lc):
         raise DomainError("y(t) pullback vanished below the target value v_1")
@@ -244,8 +245,8 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
                     prod_pull = prod_pull * pulls[i] ** si
             plead = prod_pull.leading()
             assert not isinstance(plead, AbovePrecision) and plead[0] == o
-            c_poly, c_pull = _cancel_leading(c_poly, c_pull, c,
-                                             prod_poly, prod_pull, plead[1])
+            c_pull, c_poly = _cancel((c_pull, c_poly), c,
+                                     (prod_pull, prod_poly), plead[1])
         lc = c_pull.coeffs[target]
         if (is_zero(lc) if is_zero is not None else not lc):
             raise DomainError(f"semiroot pullback vanished at target value {target}")

@@ -113,22 +113,20 @@ def _cmd_eval_form(args):
         if isinstance(value, AbovePrecision):
             return {"value": None, "above_precision": value.precision}
         return {"value": value}
-    values = eval_form_orders_multi(branches, form,
-                                    precision=args.precision or 60)
+    values = eval_form_orders_multi(branches, form, precision=args.precision)
     return {"values": list(values)}
 
 
 def _cmd_stratify(args):
     gens = _parse_gens(args.gens)
     report = stratify(NumericalSemigroup(gens), max_splits=args.max_splits,
-                      seed=args.seed, jobs=args.jobs)
+                      seed=args.seed)
     return jsonio.report_to_json(report)
 
 
 def _cmd_decide(args):
     lam = jsonio.valueset_from_json(_load_json(args.set, "--set"))
-    decision = decide(lam, max_splits=args.max_splits, seed=args.seed,
-                      jobs=args.jobs)
+    decision = decide(lam, max_splits=args.max_splits, seed=args.seed)
     return jsonio.decision_to_json(decision)
 
 
@@ -163,14 +161,16 @@ def _build_parser():
     p.add_argument("--gens", required=True)
     p.add_argument("--max-splits", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the solver is sequential")
     p.set_defaults(fn=_cmd_stratify)
 
     p = sub.add_parser("decide", help="is L the value set of 1-forms of a plane branch?")
     p.add_argument("--set", required=True, help="value set JSON (inline or path)")
     p.add_argument("--max-splits", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the solver is sequential")
     p.set_defaults(fn=_cmd_decide)
 
     return parser

@@ -39,7 +39,7 @@ def _yes(stage, evidence, witness, expected, gamma=None):
     return Decision("yes", stage, evidence, witness, gamma)
 
 
-def decide(L, max_splits=60, seed=0, jobs=1):
+def decide(L, max_splits=60, seed=0):
     if not isinstance(L, ValueSet):
         L = ValueSet.from_members(tuple(L), max(L) + 1)
 
@@ -82,7 +82,7 @@ def decide(L, max_splits=60, seed=0, jobs=1):
         return Decision("no", "eta-or-bresinsky-failed", reason)
     gamma = NumericalSemigroup(u)
 
-    report = stratify(gamma, max_splits=max_splits, seed=seed, jobs=jobs)
+    report = stratify(gamma, max_splits=max_splits, seed=seed)
     unresolved = False
     for stratum in report.strata:
         if stratum.status != "resolved":

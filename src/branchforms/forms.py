@@ -15,8 +15,8 @@ from functools import lru_cache
 import heapq
 import itertools
 
-from .branch import (_constant_value, _is_constant_coeff, default_precision,
-                     semigroup_of, standard_basis_of_ring)
+from .branch import (_cancel, default_precision, semigroup_of,
+                     standard_basis_of_ring)
 from .errors import DomainError, PrecisionError, ValidationError
 from .poly import Poly
 from .series import AbovePrecision, TruncatedSeries
@@ -88,15 +88,34 @@ def eval_form_order(phi, form, precision=None):
     return o + 1
 
 
-def eval_form_orders_multi(branches, form, precision=60):
-    """Componentwise value tuple of one form on several branches."""
+def _exact_precision(phi, form):
+    """A precision at which the pullback of form is complete.
+
+    Coordinates and form coefficients are polynomials, so phi^*(w) is a
+    polynomial in t of degree at most max(deg A_i(phi) + deg x_i - 1); two
+    more positions cover that degree and the one a derivative drops.  At
+    this precision a pullback that vanishes is identically zero."""
+    degs = [coord[-1][0] if coord else 0 for coord in phi.coords]
+    top = 0
+    for a, d in zip(form.coeffs, degs):
+        for exps in a.terms:
+            top = max(top, sum(k * dj for k, dj in zip(exps, degs)) + d - 1)
+    return top + 2
+
+
+def eval_form_orders_multi(branches, form, precision=None):
+    """Componentwise value tuple of one form on several branches.
+
+    Without a precision each branch is expanded far enough that its
+    pullback is exact, so a zero pullback means the form vanishes on it."""
     out = []
     for i, phi in enumerate(branches):
-        pull = pullback_form(form, phi.series(precision))
+        prec = precision or _exact_precision(phi, form)
+        pull = pullback_form(form, phi.series(prec))
         o = pull.order()
         if isinstance(o, AbovePrecision):
-            raise DomainError(
-                f"form pulls back to zero on branch {i} (to precision {o.precision})")
+            where = f" (to precision {o.precision})" if precision else ""
+            raise DomainError(f"form pulls back to zero on branch {i}{where}")
         out.append(o + 1)
     return tuple(out)
 
@@ -154,6 +173,9 @@ def minimal_s_processes(nu_p, nu_q, gens, cap):
 
 @dataclass
 class FormEntry:
+    """One basis element: its 1-form (None in a parametric run, whose
+    callers read values only), its pullback series and its value."""
+
     form: OneForm
     pull: TruncatedSeries
     value: int
@@ -167,70 +189,59 @@ class FormValueBasis:
     gamma: object
 
     @property
-    def minimal_entries(self):
-        return tuple(e for e in self.entries if e.minimal)
-
-    @property
     def minimal_values(self):
         return tuple(e.value for e in self.entries if e.minimal)
 
 
 class _ProductCache:
-    """Products of powers of the ring standard basis, polys and pullbacks."""
+    """Products of powers of the ring standard basis: pullback series, and
+    the polynomials too when 1-forms are carried (polys is None otherwise).
+    product() returns (pull, poly)."""
 
-    def __init__(self, sb):
-        self.sb = sb
+    def __init__(self, pullbacks, polys):
+        self.pullbacks = pullbacks
+        self.polys = polys
         self._pow = {}
         self._prod = {}
 
     def _power(self, i, k):
         key = (i, k)
         if key not in self._pow:
-            self._pow[key] = (self.sb.polys[i] ** k, self.sb.pullbacks[i] ** k)
+            self._pow[key] = (self.pullbacks[i] ** k,
+                              None if self.polys is None else self.polys[i] ** k)
         return self._pow[key]
 
     def product(self, delta):
         delta = tuple(delta)
         if delta not in self._prod:
-            poly = None
-            pull = None
+            pull = poly = None
             for i, d in enumerate(delta):
                 if not d:
                     continue
-                p, s = self._power(i, d)
-                poly = p if poly is None else poly * p
+                s, p = self._power(i, d)
                 pull = s if pull is None else pull * s
-            if poly is None:
-                poly = Poly.constant(Fraction(1), self.sb.polys[0].nvars)
+                if self.polys is not None:
+                    poly = p if poly is None else poly * p
+            if pull is None:
                 pull = TruncatedSeries.monomial(
-                    0, Fraction(1), self.sb.pullbacks[0].precision)
-            self._prod[delta] = (poly, pull)
+                    0, Fraction(1), self.pullbacks[0].precision)
+                if self.polys is not None:
+                    poly = Poly.constant(Fraction(1), self.polys[0].nvars)
+            self._prod[delta] = (pull, poly)
         return self._prod[delta]
-
-
-def _cancel_form(target_form, target_pull, lc, red_form, red_pull, lp):
-    """Make target's leading term cancel against a basis multiple.
-
-    Constant reducer lead: ordinary subtraction.  Parametric lead (nonzero
-    under the run's assumptions): cross-multiply, which rescales the target
-    without moving any order."""
-    if _is_constant_coeff(lp):
-        lam = lc / _constant_value(lp)
-        return target_form - red_form.scale(lam), target_pull - red_pull.scale(lam)
-    return (target_form.scale(lp) - red_form.scale(lc),
-            target_pull.scale(lp) - red_pull.scale(lc))
 
 
 def reduce_form(form, pull, entries, gamma, bound, cache, oracle=None):
     """Final reduction of (form, pull) modulo the current basis.
 
-    Returns a FormEntry with the surviving value, or None (discard) when
-    the chain leaves the bound.  Positions whose value is reducible by the
-    basis are cancelled without a zero test: subtracting (c/lp) times a
-    value-matched multiple is a no-op when c happens to vanish, so only
-    coefficients at genuinely new values ever need the oracle (this is
-    what keeps parametric runs from splitting on every intermediate
-    coefficient).
+    form is None when 1-forms are not carried; then only the pullback is
+    reduced.  Returns a FormEntry with the surviving value, or None
+    (discard) when the chain leaves the bound.  Positions whose value is
+    reducible by the basis are cancelled without a zero test: subtracting
+    (c/lp) times a value-matched multiple is a no-op when c happens to
+    vanish, so only coefficients at genuinely new values ever need the
+    oracle (this is what keeps parametric runs from splitting on every
+    intermediate coefficient).
     """
     is_zero = oracle.is_zero if oracle is not None else None
     if pull.precision < bound:
@@ -259,38 +270,53 @@ def reduce_form(form, pull, entries, gamma, bound, cache, oracle=None):
                 continue
             return FormEntry(form, pull, value)
         entry, delta = reducer
-        prod_poly, prod_pull = cache.product(delta)
+        prod_pull, prod_poly = cache.product(delta)
         red_pull = prod_pull * entry.pull
-        red_form = entry.form.mul_poly(prod_poly)
         rlead = red_pull.leading()
         assert not isinstance(rlead, AbovePrecision) and rlead[0] == o
-        form, pull = _cancel_form(form, pull, c, red_form, red_pull, rlead[1])
+        if form is None:
+            (pull,) = _cancel((pull,), c, (red_pull,), rlead[1])
+        else:
+            pull, form = _cancel((pull, form), c,
+                                 (red_pull, entry.form.mul_poly(prod_poly)),
+                                 rlead[1])
         o += 1
 
 
-def algorithm1_core(sb, coords, oracle=None, bound=None):
+def algorithm1_core(sb, oracle=None, bound=None):
     """Completion loop over the differentials of the ring standard basis.
 
-    coords are the parametrization series (x(t), y(t)).  Returns the list
-    of FormEntry making up a standard basis of the pulled-back 1-form
-    module, in discovery order.
+    Returns the list of FormEntry making up a standard basis of the
+    pulled-back 1-form module, in discovery order.  A run under an oracle
+    is parametric and its callers read values only, so it carries no
+    1-forms (FormEntry.form is None); a concrete run carries them as
+    certificates of the values.
+
+    Every series is cut to precision need + 1, need = max(bound, max v_i):
+    reductions read positions below bound, the entry-lead checks read
+    position v_i - 1, and the coefficient k of a truncated product depends
+    only on operand coefficients up to k, so no value that is read changes.
     """
     gamma = sb.gamma
     mu = gamma.conductor
     if bound is None:
         bound = mu - 1
-    cache = _ProductCache(sb)
+    carry = oracle is None
+    need = max(bound, max(sb.values))
+    pullbacks = tuple(s.truncate(need + 1) for s in sb.pullbacks)
+    cache = _ProductCache(pullbacks, sb.polys if carry else None)
 
-    # Basis pullbacks keep exact (syntactic) zeros below their order, so
-    # lead extraction here never needs the parametric oracle.
+    # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
+    # is the derivative of the basis pullback.  Basis pullbacks keep exact
+    # (syntactic) zeros below their order, so lead extraction here never
+    # needs the parametric oracle.
     entries = []
-    for h, v in zip(sb.polys, sb.values):
-        form = differential(h)
-        pull = pullback_form(form, coords)
+    for h, s, v in zip(sb.polys, pullbacks, sb.values):
+        pull = s.derivative()
         lead = pull.leading()
         assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
             f"nu(dh) = {lead} expected value {v}"
-        entries.append(FormEntry(form, pull, v))
+        entries.append(FormEntry(differential(h) if carry else None, pull, v))
 
     gens = gamma.generators
     cap = bound + gens[-1]
@@ -319,8 +345,8 @@ def algorithm1_core(sb, coords, oracle=None, bound=None):
     while heap:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
         ep, eq = entries[p], entries[q]
-        pa_poly, pa_pull = cache.product(alpha)
-        pg_poly, pg_pull = cache.product(gamma_v)
+        pa_pull, pa_poly = cache.product(alpha)
+        pg_pull, pg_poly = cache.product(gamma_v)
         sp_pull = pa_pull * ep.pull
         sq_pull = pg_pull * eq.pull
         lp = sp_pull.leading()
@@ -328,8 +354,10 @@ def algorithm1_core(sb, coords, oracle=None, bound=None):
         assert not isinstance(lp, AbovePrecision) and lp[0] == m - 1
         assert not isinstance(lq, AbovePrecision) and lq[0] == m - 1
         s_pull = sp_pull.scale(lq[1]) - sq_pull.scale(lp[1])
-        s_form = (ep.form.mul_poly(pa_poly).scale(lq[1])
-                  - eq.form.mul_poly(pg_poly).scale(lp[1]))
+        s_form = None
+        if carry:
+            s_form = (ep.form.mul_poly(pa_poly).scale(lq[1])
+                      - eq.form.mul_poly(pg_poly).scale(lp[1]))
         result = reduce_form(s_form, s_pull, entries, gamma, bound, cache, oracle)
         if result is not None:
             entries.append(result)
@@ -357,8 +385,11 @@ def assemble_lambda(entries, gamma):
     return ValueSet(tuple(members), cof)
 
 
-def algorithm1_lambda(phi, gamma=None, oracle=None, precision=None):
-    """Standard basis of the pulled-back 1-form module and the set Lambda."""
+def algorithm1_lambda(phi, gamma=None, precision=None):
+    """Standard basis of the pulled-back 1-form module and the set Lambda.
+
+    A concrete run: every entry carries its 1-form, a certificate of its
+    value."""
     if phi.ncoords != 2:
         raise DomainError("Lambda computation is for plane branches only")
     if gamma is None:
@@ -369,9 +400,8 @@ def algorithm1_lambda(phi, gamma=None, oracle=None, precision=None):
     precision = max(precision, default_precision(gamma))
     while True:
         try:
-            sb = standard_basis_of_ring(phi, gamma=gamma, oracle=oracle,
-                                        precision=precision)
-            entries = algorithm1_core(sb, phi.series(precision), oracle=oracle)
+            sb = standard_basis_of_ring(phi, gamma=gamma, precision=precision)
+            entries = algorithm1_core(sb)
             break
         except PrecisionError:
             attempts += 1

@@ -98,10 +98,6 @@ def form_from_json(obj):
 # -- value sets ----------------------------------------------------------------
 
 
-def valueset_to_json(s):
-    return s.to_json()
-
-
 def valueset_from_json(obj):
     return ValueSet.from_json(obj)
 

@@ -11,6 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
+
+
+def _exact(q):
+    """q as an int when its denominator is 1, else unchanged.
+
+    Integral coefficients stay ints so that products avoid Fraction
+    arithmetic; `Fraction(2) == 2` with equal hashes and equal `str`, so
+    either form gives the same polynomial."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class ParamRing:
@@ -33,7 +43,7 @@ class ParamRing:
         return self.constant(1)
 
     def constant(self, c):
-        c = Fraction(c)
+        c = _exact(Fraction(c))
         if c == 0:
             return self.zero()
         return ParamPoly(self, {self._zero_exp: c})
@@ -41,14 +51,15 @@ class ParamRing:
     def gen(self, name):
         exp = [0] * len(self.names)
         exp[self.index[name]] = 1
-        return ParamPoly(self, {tuple(exp): Fraction(1)})
+        return ParamPoly(self, {tuple(exp): 1})
 
     def gens(self):
         return [self.gen(n) for n in self.names]
 
 
 class ParamPoly:
-    """Sparse polynomial: dict from exponent tuple to nonzero Fraction."""
+    """Sparse polynomial: dict from exponent tuple to nonzero rational, an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -71,10 +82,6 @@ class ParamPoly:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[self.ring._zero_exp]
-
-    def degree_in(self, name):
-        i = self.ring.index[name]
-        return max((e[i] for e in self.terms), default=0)
 
     def variables(self):
         used = set()
@@ -140,6 +147,15 @@ class ParamPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other or not self.terms:
+                return self.ring.zero()
+            if isinstance(other, Fraction):
+                if other.denominator != 1:
+                    return ParamPoly(self.ring, {e: _exact(c * other)
+                                                 for e, c in self.terms.items()})
+                other = other.numerator
+            return ParamPoly(self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -148,7 +164,7 @@ class ParamPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
@@ -164,7 +180,8 @@ class ParamPoly:
                 raise ValueError("can only divide by a constant")
             other = other.constant_value()
         other = Fraction(other)
-        return ParamPoly(self.ring, {e: c / other for e, c in self.terms.items()})
+        return ParamPoly(self.ring,
+                         {e: _exact(c / other) for e, c in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -313,7 +330,7 @@ def irreducible_factors(p):
         poly = sympy.Poly(fac, *[symbols[n] for n in p.ring.names])
         terms = {}
         for monom, coeff in poly.terms():
-            terms[tuple(int(m) for m in monom)] = Fraction(coeff.p, coeff.q)
+            terms[tuple(int(m) for m in monom)] = _exact(Fraction(coeff.p, coeff.q))
         q = ParamPoly(p.ring, terms).normalized()
         if not q.is_constant():
             out.append(q)

@@ -228,7 +228,7 @@ def _run_once(family, task, precision):
     oracle = ConstraintOracle(nonzero)
     sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle,
                                 precision=precision)
-    entries = algorithm1_core(sb, phi.series(precision), oracle=oracle)
+    entries = algorithm1_core(sb, oracle=oracle)
     lam = assemble_lambda(entries, family.gamma)
     minimal = tuple(sorted(e.value for e in entries if e.minimal))
     return lam, minimal, tuple(nonzero)
@@ -257,15 +257,15 @@ def _sample_witness(family, stratum, rng, tries=60):
     return None
 
 
-def stratify(gamma, max_splits=60, seed=0, jobs=1, validate_witnesses=True):
+def stratify(gamma, max_splits=60, seed=0, validate_witnesses=True):
     """Partition the normal-form family of gamma into strata, one Lambda each.
 
     Splits happen on irreducible factors of undecidable leading
     coefficients: one child per factor set to zero (earlier factors kept
     nonzero), plus a generic child with every factor nonzero.  Equalities
     that are not linear in any single parameter leave the child unresolved
-    rather than guessed.  jobs is accepted for interface parity; the
-    exploration is sequential.
+    rather than guessed.  Parametric runs return values only; each
+    resolved stratum's witness is re-checked by a concrete run.
     """
     family = normal_form_family(gamma)
     gamma = family.gamma

@@ -61,9 +61,6 @@ class ValueSet:
         out.extend(range(self.cofinal, max(bound, self.cofinal)))
         return [z for z in out if z < bound]
 
-    def is_empty(self):
-        return False  # cofinal makes the set nonempty by construction
-
     def to_json(self):
         return {"elements": list(self.elements), "cofinal": self.cofinal}
 
@@ -118,8 +115,10 @@ def is_covered(s, with_witness=False):
 
 def epsilon_eta(s):
     """The gcd sequence eps_0 = a_0 > eps_1 > ... > eps_rho = 1 over the
-    Apery set, and the ratios eta_i = eps_{i-1}/eps_i.  Returns
-    (epsilon, eta, rho).  Requires s covered by its Apery set."""
+    Apery set, and the ratios eta_i = eps_{i-1}/eps_i.  eps_i is
+    gcd(eps_{i-1}, a) for the smallest Apery element a that eps_{i-1} does
+    not divide.  Returns (epsilon, eta, rho).  Requires s covered by its
+    Apery set."""
     cov, _ = is_covered(s, with_witness=True)
     if not cov:
         raise DomainError("set is not covered by its Apery set")
@@ -127,10 +126,10 @@ def epsilon_eta(s):
     eps = [ap[0]]
     eta = [1]
     while eps[-1] != 1:
-        candidates = [gcd(eps[-1], a) for a in ap if a % eps[-1] != 0]
-        if not candidates:
+        a = next((a for a in ap if a % eps[-1] != 0), None)
+        if a is None:
             raise DomainError("gcd sequence stalled before reaching 1")
-        nxt = max(candidates)
+        nxt = gcd(eps[-1], a)
         eta.append(eps[-1] // nxt)
         eps.append(nxt)
     return tuple(eps), tuple(eta), len(eps) - 1

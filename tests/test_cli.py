@@ -85,6 +85,36 @@ def test_eval_form_single_and_multi(capsys):
     assert out["values"] == [6, 7]
 
 
+def test_eval_form_multi_is_exact_above_the_old_precision(capsys):
+    # x^40 dx has value 82 on both branches, above any fixed precision of 60
+    code, out = invoke(capsys, "eval-form",
+                       "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--branch", '{"n":2,"y":[[3,"1"],[4,"1"]]}',
+                       "--form", '{"d":[["x",[[40,0,"1"]]],["y",[]]]}')
+    assert code == 0
+    assert out == {"values": [82, 82]}
+
+
+def test_eval_form_multi_identically_zero(capsys):
+    # 3y dx - 2x dy vanishes identically on (t^2, t^3)
+    code, out = invoke(capsys, "eval-form",
+                       "--branch", '{"n":2,"y":[[3,"1"],[4,"1"]]}',
+                       "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", '{"d":[["x",[[0,1,"3"]]],["y",[[1,0,"-2"]]]]}')
+    assert code == 1
+    assert out["detail"] == "form pulls back to zero on branch 1"
+
+
+def test_readme_eval_form_example(capsys):
+    code, out = invoke(capsys, "eval-form",
+                       "--branch", '{"n":2,"y":[[3,"1"],[4,"1"]]}',
+                       "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", '{"d":[["x",[[0,1,"3"],[3,0,"1"]]],'
+                                 '["y",[[1,0,"-2"]]]]}')
+    assert code == 0
+    assert out == {"values": [6, 8]}
+
+
 def test_eval_form_vanishing_pullback(capsys):
     code, out = invoke(capsys, "eval-form",
                        "--branch", '{"n":2,"y":[[3,"1"]]}',

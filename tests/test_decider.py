@@ -62,3 +62,15 @@ def test_decide_rejects_uncoverable_simple_set():
     # {2} union [5, inf): 4 is on the progression of 2 but missing
     d = decide(ValueSet((2,), 5))
     assert (d.verdict, d.stage) == ("no", "not-covered")
+
+
+def test_genuine_lambda_with_even_v0_decides_yes():
+    # <4,9>: v0 even, the class where a largest-gcd epsilon read <4,15,18>
+    phi = BranchParametrization.plane(4, {9: 1, 11: 1})
+    lam = algorithm1_lambda(phi).lambda_set
+    assert lam == ValueSet((4, 8, 9, 12, 13), 15)
+    d = decide(lam)
+    assert (d.verdict, d.stage) == ("yes", "matched")
+    assert d.gamma.generators == (4, 9)
+    assert semigroup_of(d.witness).generators == (4, 9)
+    assert algorithm1_lambda(d.witness).lambda_set == lam

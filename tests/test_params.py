@@ -81,3 +81,53 @@ def test_irreducible_factors():
     # irreducible quadratic stays whole
     q = 1152 * a * a - 769 * a + 1064 * b - 28
     assert irreducible_factors(q) == (q.normalized(),)
+
+
+def test_integral_coefficients_are_ints():
+    R = ring()
+    a = R.gen("a")
+    assert all(type(c) is int for c in a.terms.values())
+    assert type(R.constant(Fraction(6, 3)).constant_value()) is int
+    assert type(R.constant(3).constant_value()) is int
+    assert type(R.constant(Fraction(3, 2)).constant_value()) is Fraction
+    assert all(type(c) is int for c in (2 * a * Fraction(3, 2)).terms.values())
+
+
+def test_fraction_and_int_coefficients_agree():
+    R = ring()
+    a, b, _ = R.gens()
+    e = next(iter(a.terms))
+    as_fraction = ParamPoly(R, {e: Fraction(2)})
+    as_int = ParamPoly(R, {e: 2})
+    assert as_fraction == as_int
+    assert hash(as_fraction) == hash(as_int)
+    assert str(as_fraction) == str(as_int) == "2*a"
+    mixed = ParamPoly(R, {e: Fraction(3), next(iter(b.terms)): Fraction(-1, 2)})
+    assert str(mixed) == "3*a - 1/2*b"
+    assert str(R.constant(Fraction(-7))) == "-7"
+
+
+def test_exact_division_gives_ints():
+    R = ring()
+    a, b, _ = R.gens()
+    q = (4 * a - 6 * b) / 2
+    assert q == 2 * a - 3 * b
+    assert all(type(c) is int for c in q.terms.values())
+    h = (3 * a + 1) / 2
+    assert h.terms[next(iter(a.terms))] == Fraction(3, 2)
+    assert type(h.terms[R._zero_exp]) is Fraction
+    assert type((18 * a - 36).linear_solve("a").constant_value()) is int
+
+
+def test_content_and_normalized_on_mixed_coefficients():
+    R = ring()
+    a, b, _ = R.gens()
+    p = ParamPoly(R, {next(iter(a.terms)): 4,
+                      next(iter(b.terms)): Fraction(-2, 3)})
+    assert p.content() == Fraction(2, 3)
+    n = p.normalized()
+    assert n == 6 * a - b
+    assert all(type(c) is int for c in n.terms.values())
+    assert (-p).normalized() == n
+    facs = irreducible_factors((2 * a + 1) * (a - b))
+    assert all(type(c) is int for f in facs for c in f.terms.values())

@@ -113,3 +113,11 @@ def test_valueset_membership_matches_definition(elements, cofinal):
     reference = {e for e in elements if e < cofinal} | set(range(cofinal, 40))
     for z in range(1, 40):
         assert (z in s) == (z in reference)
+
+
+def test_epsilon_uses_smallest_apery_element_off_the_previous_gcd():
+    # Lambda of (t^4, t^9 + t^11): Apery set (4, 9, 13, 15); the first
+    # element not divisible by 4 is 9, so eps_1 = gcd(4, 9) = 1.
+    lam = ValueSet((4, 8, 9, 12, 13), 15)
+    assert epsilon_eta(lam) == ((4, 1), (1, 4), 1)
+    assert recover_gamma(lam).generators == (4, 9)
