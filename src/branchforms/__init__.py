@@ -16,7 +16,7 @@ from .forms import (FormEntry, FormValueBasis, OneForm, algorithm1_lambda,
                     differential, eval_form_order, eval_form_orders_multi,
                     minimal_s_processes, pullback_form)
 from .params import ParamPoly, ParamRing
-from .poly import Poly
+from .poly import Poly, Ring, coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
                         characteristic_from_semigroup, gamma_star_apery,
                         is_plane_branch_semigroup,
@@ -35,10 +35,10 @@ __all__ = [
     "BranchParametrization", "CharacteristicSequence", "Decision",
     "DomainError", "FormEntry", "FormValueBasis", "NormalFormFamily",
     "NumericalSemigroup", "OneForm", "ParamPoly", "ParamRing", "Poly",
-    "PrecisionError", "StandardBasisOf", "StratificationReport", "Stratum",
+    "PrecisionError", "Ring", "StandardBasisOf", "StratificationReport", "Stratum",
     "TruncatedSeries", "ValidationError", "ValueSet", "algorithm1_lambda",
     "apery_profile", "apery_set", "b_sets", "characteristic_from_semigroup",
-    "characteristic_sequence", "decide", "default_precision", "differential",
+    "characteristic_sequence", "coordinate_ring", "decide", "default_precision", "differential",
     "epsilon_eta", "eval_form_order", "eval_form_orders_multi",
     "from_semigroup", "gamma_star_apery", "is_covered",
     "is_plane_branch_semigroup", "minimal_s_processes", "normal_form_family",

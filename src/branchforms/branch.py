@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ValidationError
-from .poly import Poly
+from .poly import coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
                         semigroup_from_characteristic)
 from .series import AbovePrecision, TruncatedSeries
@@ -147,7 +147,7 @@ def nu(phi, h, precision=None):
 @dataclass(frozen=True)
 class StandardBasisOf:
     """Representatives h_0 = x, h_1, ..., h_g with nu(h_i) = v_i, together
-    with their pullback series."""
+    with their pullback series; polys is None in a parametric run."""
 
     polys: tuple
     pullbacks: tuple
@@ -179,6 +179,10 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
     earlier representatives until the target value v_{k+1} is reached.
     Orders below the target always lie in <v_0, ..., v_k>, which supplies
     the cancelling monomial.
+
+    A run under an oracle is parametric and its callers read pullbacks
+    only, so it builds no representatives (polys is None), the same rule
+    `forms.algorithm1_core` applies to 1-forms; a concrete run builds them.
     """
     if gamma is None:
         gamma = semigroup_of(phi)
@@ -193,32 +197,40 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
     if xs.order() != v[0]:
         raise DomainError("x(t) must have order v_0")
 
-    x_poly = Poly.variable(0, 2)
-    y_poly = Poly.variable(1, 2)
-    polys = [x_poly]
-    pulls = [xs]
+    # Each element is the tuple (pullback,) or (pullback, representative).
+    x_poly, y_poly = coordinate_ring(2).gens()
+    width = 2 if oracle is None else 1
+    x, y = (xs, x_poly)[:width], (ys, y_poly)[:width]
+    unit = (TruncatedSeries.monomial(0, Fraction(1), precision),
+            x_poly.ring.one())[:width]
+    basis = [x]
     values = [v[0]]
+
+    def result():
+        polys = tuple(b[1] for b in basis) if oracle is None else None
+        return StandardBasisOf(polys, tuple(b[0] for b in basis),
+                               tuple(values), gamma)
+
     if g == 0:
-        return StandardBasisOf(tuple(polys), tuple(pulls), tuple(values), gamma)
+        return result()
 
     # Raise y to value v_1 (handles ord(y) a multiple of v_0).  Positions
     # below the target are cancelled without a zero test: subtracting a
     # value-matched multiple is a no-op when the coefficient vanishes, so
     # only the coefficient at the target itself ever needs the oracle.
-    h_poly, h_pull = y_poly, ys
+    h = y
     for o in range(v[1]):
-        c = h_pull.coeffs[o]
+        c = h[0].coeffs[o]
         if not c:
             continue
         if o % v[0] != 0:
             raise DomainError(f"unexpected order {o} while normalizing y to value {v[1]}")
         k = o // v[0]
-        h_pull, h_poly = _cancel((h_pull, h_poly), c, (xs ** k, x_poly ** k), 1)
-    lc = h_pull.coeffs[v[1]]
+        h = _cancel(h, c, tuple(f ** k for f in x), 1)
+    lc = h[0].coeffs[v[1]]
     if (is_zero(lc) if is_zero is not None else not lc):
         raise DomainError("y(t) pullback vanished below the target value v_1")
-    polys.append(h_poly)
-    pulls.append(h_pull)
+    basis.append(h)
     values.append(v[1])
 
     for k in range(1, g):
@@ -226,10 +238,9 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
         scaled = NumericalSemigroup(tuple(vi // e[k] for vi in v[: k + 1]))
         if len(scaled.generators) != k + 1:
             raise DomainError("scaled generator system is not minimal")
-        c_poly = polys[k] ** n[k]
-        c_pull = pulls[k] ** n[k]
+        h = tuple(f ** n[k] for f in basis[k])
         for o in range(n[k] * v[k], target):
-            c = c_pull.coeffs[o]
+            c = h[0].coeffs[o]
             if not c:
                 continue
             if o % e[k] != 0:
@@ -237,21 +248,17 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
             member, s = scaled.membership(o // e[k])
             if not member:
                 raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
-            prod_poly = Poly.constant(Fraction(1), 2)
-            prod_pull = TruncatedSeries.monomial(0, Fraction(1), precision)
+            prod = unit
             for i, si in enumerate(s):
                 if si:
-                    prod_poly = prod_poly * polys[i] ** si
-                    prod_pull = prod_pull * pulls[i] ** si
-            plead = prod_pull.leading()
+                    prod = tuple(p * f ** si for p, f in zip(prod, basis[i]))
+            plead = prod[0].leading()
             assert not isinstance(plead, AbovePrecision) and plead[0] == o
-            c_pull, c_poly = _cancel((c_pull, c_poly), c,
-                                     (prod_pull, prod_poly), plead[1])
-        lc = c_pull.coeffs[target]
+            h = _cancel(h, c, prod, plead[1])
+        lc = h[0].coeffs[target]
         if (is_zero(lc) if is_zero is not None else not lc):
             raise DomainError(f"semiroot pullback vanished at target value {target}")
-        polys.append(c_poly)
-        pulls.append(c_pull)
+        basis.append(h)
         values.append(target)
 
-    return StandardBasisOf(tuple(polys), tuple(pulls), tuple(values), gamma)
+    return result()

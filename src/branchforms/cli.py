@@ -93,7 +93,7 @@ def _cmd_recover_gamma(args):
 
 def _cmd_lambda(args):
     phi = jsonio.branch_from_json(_load_json(args.branch, "--branch"))
-    basis = algorithm1_lambda(phi, precision=args.precision)
+    basis = algorithm1_lambda(phi)
     return {
         "gamma": list(basis.gamma.generators),
         "lambda": basis.lambda_set.to_json(),
@@ -105,11 +105,10 @@ def _cmd_eval_form(args):
     branches = [jsonio.branch_from_json(_load_json(b, "--branch"))
                 for b in args.branch]
     form = jsonio.form_from_json(_load_json(args.form, "--form"))
+    if args.precision is not None and args.precision < 1:
+        raise ValidationError(f"--precision must be positive, got {args.precision}")
     if len(branches) == 1:
-        kwargs = {}
-        if args.precision:
-            kwargs["precision"] = args.precision
-        value = eval_form_order(branches[0], form, **kwargs)
+        value = eval_form_order(branches[0], form, precision=args.precision)
         if isinstance(value, AbovePrecision):
             return {"value": None, "above_precision": value.precision}
         return {"value": value}
@@ -147,14 +146,17 @@ def _build_parser():
 
     p = sub.add_parser("lambda", help="value set of 1-forms of a plane branch")
     p.add_argument("--branch", required=True, help="branch JSON (inline or path)")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=None,
+                   help="accepted for compatibility; the run always uses the "
+                        "precision its values need")
     p.set_defaults(fn=_cmd_lambda)
 
     p = sub.add_parser("eval-form", help="value of one 1-form on one or more branches")
     p.add_argument("--branch", action="append", required=True,
                    help="branch JSON; repeat for a multi-branch value tuple")
     p.add_argument("--form", required=True, help="1-form JSON (inline or path)")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=None,
+                   help="truncation order of the pullback series (positive)")
     p.set_defaults(fn=_cmd_eval_form)
 
     p = sub.add_parser("stratify", help="all attainable value sets for a semigroup")

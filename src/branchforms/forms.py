@@ -18,7 +18,6 @@ import itertools
 from .branch import (_cancel, default_precision, semigroup_of,
                      standard_basis_of_ring)
 from .errors import DomainError, PrecisionError, ValidationError
-from .poly import Poly
 from .series import AbovePrecision, TruncatedSeries
 from .valueset import ValueSet
 
@@ -55,7 +54,7 @@ class OneForm:
 
 def differential(h):
     """d(h) as a OneForm."""
-    return OneForm(tuple(h.partial(i) for i in range(h.nvars)))
+    return OneForm(tuple(h.partial(i) for i in range(len(h.ring.names))))
 
 
 def pullback_form(form, coord_series):
@@ -67,7 +66,7 @@ def pullback_form(form, coord_series):
         raise ValidationError("form has more coordinates than the parametrization")
     total = None
     cache = {}
-    args = coord_series[: form.coeffs[0].nvars]
+    args = coord_series[: len(form.coeffs[0].ring.names)]
     for a, coord in zip(form.coeffs, coord_series):
         if not a:
             continue
@@ -226,7 +225,7 @@ class _ProductCache:
                 pull = TruncatedSeries.monomial(
                     0, Fraction(1), self.pullbacks[0].precision)
                 if self.polys is not None:
-                    poly = Poly.constant(Fraction(1), self.polys[0].nvars)
+                    poly = self.polys[0].ring.one()
             self._prod[delta] = (pull, poly)
         return self._prod[delta]
 
@@ -289,8 +288,9 @@ def algorithm1_core(sb, oracle=None, bound=None):
     Returns the list of FormEntry making up a standard basis of the
     pulled-back 1-form module, in discovery order.  A run under an oracle
     is parametric and its callers read values only, so it carries no
-    1-forms (FormEntry.form is None); a concrete run carries them as
-    certificates of the values.
+    1-forms (FormEntry.form is None) and sb needs no representatives
+    (sb.polys is None); a concrete run carries them as certificates of the
+    values.
 
     Every series is cut to precision need + 1, need = max(bound, max v_i):
     reductions read positions below bound, the entry-lead checks read
@@ -311,12 +311,13 @@ def algorithm1_core(sb, oracle=None, bound=None):
     # (syntactic) zeros below their order, so lead extraction here never
     # needs the parametric oracle.
     entries = []
-    for h, s, v in zip(sb.polys, pullbacks, sb.values):
+    for i, (s, v) in enumerate(zip(pullbacks, sb.values)):
         pull = s.derivative()
         lead = pull.leading()
         assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
             f"nu(dh) = {lead} expected value {v}"
-        entries.append(FormEntry(differential(h) if carry else None, pull, v))
+        entries.append(FormEntry(differential(sb.polys[i]) if carry else None,
+                                 pull, v))
 
     gens = gamma.generators
     cap = bound + gens[-1]
@@ -385,28 +386,16 @@ def assemble_lambda(entries, gamma):
     return ValueSet(tuple(members), cof)
 
 
-def algorithm1_lambda(phi, gamma=None, precision=None):
+def algorithm1_lambda(phi, gamma=None):
     """Standard basis of the pulled-back 1-form module and the set Lambda.
 
     A concrete run: every entry carries its 1-form, a certificate of its
-    value."""
+    value.  The default precision mu + v_0 + 2 of the ring basis always
+    covers the cut max(mu - 1, v_g) + 1 of `algorithm1_core`, because
+    mu = sum (n_i - 1) v_i - v_0 + 1 >= v_g - v_0 + 1."""
     if phi.ncoords != 2:
         raise DomainError("Lambda computation is for plane branches only")
     if gamma is None:
         gamma = semigroup_of(phi)
-    attempts = 0
-    if precision is None:
-        precision = default_precision(gamma)
-    precision = max(precision, default_precision(gamma))
-    while True:
-        try:
-            sb = standard_basis_of_ring(phi, gamma=gamma, precision=precision)
-            entries = algorithm1_core(sb)
-            break
-        except PrecisionError:
-            attempts += 1
-            if attempts > 3:
-                raise
-            precision *= 2
-    lam = assemble_lambda(entries, gamma)
-    return FormValueBasis(tuple(entries), lam, gamma)
+    entries = algorithm1_core(standard_basis_of_ring(phi, gamma=gamma))
+    return FormValueBasis(tuple(entries), assemble_lambda(entries, gamma), gamma)

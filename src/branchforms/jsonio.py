@@ -10,10 +10,8 @@ from fractions import Fraction
 from .branch import BranchParametrization
 from .errors import ValidationError
 from .forms import OneForm
-from .poly import Poly
+from .poly import COORD_NAMES, Poly, _exact, coordinate_ring
 from .valueset import ValueSet
-
-COORD_NAMES = ("x", "y", "z", "w")
 
 
 def frac_to_str(q):
@@ -67,13 +65,19 @@ def _poly_to_json(p):
 
 def _poly_from_json(items, nvars):
     terms = {}
-    for item in items:
-        if len(item) != nvars + 1:
-            raise ValidationError(
-                f"polynomial term {item!r} needs {nvars} exponents and a coefficient")
-        exps = tuple(int(v) for v in item[:-1])
-        terms[exps] = terms.get(exps, 0) + frac_from_str(item[-1])
-    return Poly(nvars, terms)
+    try:
+        for item in items:
+            if len(item) != nvars + 1:
+                raise ValidationError(
+                    f"polynomial term {item!r} needs {nvars} exponents and a coefficient")
+            exps = tuple(int(v) for v in item[:-1])
+            if min(exps, default=0) < 0:
+                raise ValidationError(f"negative exponent in polynomial term {item!r}")
+            terms[exps] = terms.get(exps, 0) + frac_from_str(item[-1])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad polynomial JSON: {exc}") from exc
+    return Poly(coordinate_ring(nvars),
+                {e: _exact(c) for e, c in terms.items() if c})
 
 
 def form_to_json(form):

@@ -1,8 +1,9 @@
 """Exact truncated power series in one local parameter t.
 
 A series stores all coefficients for exponents 0..precision-1; everything
-from t^precision on is unknown.  Coefficients are exact: `Fraction`s in
-concrete mode or `ParamPoly`s when computing over a family.  Zero tests go
+from t^precision on is unknown.  Coefficients are exact: rationals in
+concrete mode or `poly.Poly`s in the family parameters when computing over
+a family.  Zero tests go
 through a pluggable predicate so that the parametric driver can intercept
 coefficients whose vanishing is undecidable without a case split.
 """

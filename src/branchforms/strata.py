@@ -15,14 +15,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .branch import standard_basis_of_ring
+from .branch import BranchParametrization, standard_basis_of_ring
 from .errors import DomainError
 from .forms import algorithm1_core, algorithm1_lambda, assemble_lambda
-from .params import ParamPoly, ParamRing, irreducible_factors
+from .params import irreducible_factors
+from .poly import Poly, Ring
 from .semigroup import (NumericalSemigroup, characteristic_from_semigroup,
                         is_plane_branch_semigroup)
 from .valueset import ValueSet
-from .branch import BranchParametrization, default_precision
 
 
 class SplitNeeded(Exception):
@@ -47,7 +47,7 @@ class ConstraintOracle:
         self.nonzero = frozenset(nonzero)
 
     def is_zero(self, c):
-        if not isinstance(c, ParamPoly):
+        if not isinstance(c, Poly):
             return not c
         if not c:
             return True
@@ -64,17 +64,17 @@ class NormalFormFamily:
     """(t^{v0}, t^{v1} + sum_{i in E} a_i t^i) with some coefficients pinned."""
 
     gamma: NumericalSemigroup
-    ring: ParamRing
+    ring: Ring
     phi: BranchParametrization
     exponents: tuple          # E, sorted
     fixed: tuple              # ((exponent, Fraction), ...) pinned coefficients
-    base_nonzero: tuple       # ParamPoly generators that must not vanish
+    base_nonzero: tuple       # Poly generators that must not vanish
     free_names: tuple
 
     def member(self, point):
         """Concrete branch at a full rational parameter assignment."""
         def ev(c):
-            return c.eval(point) if isinstance(c, ParamPoly) else Fraction(c)
+            return c.eval(point) if isinstance(c, Poly) else Fraction(c)
         return self.phi.map_coeffs(ev)
 
 
@@ -92,7 +92,7 @@ def normal_form_family(gamma):
     mu = gamma.conductor
     g = gamma.g
     if g == 0:
-        ring = ParamRing(())
+        ring = Ring(())
         phi = BranchParametrization([{1: Fraction(1)}, {}])
         return NormalFormFamily(gamma, ring, phi, (), (), (), ())
 
@@ -120,7 +120,7 @@ def normal_form_family(gamma):
                 f"characteristic exponent {b[k]} missing from the family support")
 
     free = tuple(f"a{i}" for i in E if i not in fixed)
-    ring = ParamRing(free)
+    ring = Ring(free)
     y_terms = {v[1]: Fraction(1)}
     for i in E:
         y_terms[i] = ring.constant(fixed[i]) if i in fixed else ring.gen(f"a{i}")
@@ -173,12 +173,12 @@ class StratificationReport:
 class _Task:
     substitutions: list
     equalities: list
-    nonzero: list            # ParamPoly assumptions, current coordinates
+    nonzero: list            # Poly assumptions, current coordinates
     status: str = "pending"  # pending | unresolved
 
 
 def _subs_coeff(c, name, expr):
-    if isinstance(c, ParamPoly):
+    if isinstance(c, Poly):
         return c.subs({name: expr})
     return c
 
@@ -213,7 +213,7 @@ def _solve_linear(f):
     return None
 
 
-def _run_once(family, task, precision):
+def _run_once(family, task):
     """One complete parametric run under the task's assumptions."""
     phi = family.phi
     nonzero = list(family.base_nonzero)
@@ -226,8 +226,7 @@ def _run_once(family, task, precision):
         if f not in nonzero:
             nonzero.append(f)
     oracle = ConstraintOracle(nonzero)
-    sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle,
-                                precision=precision)
+    sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle)
     entries = algorithm1_core(sb, oracle=oracle)
     lam = assemble_lambda(entries, family.gamma)
     minimal = tuple(sorted(e.value for e in entries if e.minimal))
@@ -257,7 +256,7 @@ def _sample_witness(family, stratum, rng, tries=60):
     return None
 
 
-def stratify(gamma, max_splits=60, seed=0, validate_witnesses=True):
+def stratify(gamma, max_splits=60, seed=0):
     """Partition the normal-form family of gamma into strata, one Lambda each.
 
     Splits happen on irreducible factors of undecidable leading
@@ -269,7 +268,6 @@ def stratify(gamma, max_splits=60, seed=0, validate_witnesses=True):
     """
     family = normal_form_family(gamma)
     gamma = family.gamma
-    precision = default_precision(gamma)
     rng = random.Random(seed)
 
     queue = [_Task([], [], [])]
@@ -284,7 +282,7 @@ def stratify(gamma, max_splits=60, seed=0, validate_witnesses=True):
                                   None, None, "unresolved"))
             continue
         try:
-            result = _run_once(family, task, precision)
+            result = _run_once(family, task)
         except SplitNeeded as split:
             splits += 1
             for j, f in enumerate(split.unknown):
@@ -309,7 +307,7 @@ def stratify(gamma, max_splits=60, seed=0, validate_witnesses=True):
                           minimal_values=minimal)
         for attempt in range(5):
             stratum.witness = _sample_witness(family, stratum, rng)
-            if stratum.witness is None or not validate_witnesses:
+            if stratum.witness is None:
                 break
             concrete = family.member(stratum.witness)
             check = algorithm1_lambda(concrete, gamma=gamma).lambda_set

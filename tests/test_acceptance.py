@@ -11,16 +11,16 @@ from fractions import Fraction
 import pytest
 
 from branchforms import (BranchParametrization, NumericalSemigroup, OneForm,
-                         Poly, ValueSet, algorithm1_lambda, apery_set, decide,
-                         differential, eval_form_order, eval_form_orders_multi,
+                         Poly, ValueSet, algorithm1_lambda, apery_set,
+                         coordinate_ring, decide, differential,
+                         eval_form_order, eval_form_orders_multi,
                          gamma_star_apery, recover_gamma, semigroup_of,
                          stratify)
 from branchforms.series import AbovePrecision
 
 from conftest import CORPUS_GENS, random_branch
 
-X = Poly.variable(0, 2)
-Y = Poly.variable(1, 2)
+X, Y = coordinate_ring(2).gens()
 
 ROWS_6919 = [
     (16, 22, 26, 29, 32, 35, 41),
@@ -121,9 +121,10 @@ def test_criterion_4_gamma_recovery_roundtrip():
 
 
 def test_criterion_5_space_curve_values():
-    w = OneForm((Poly(3, {(0, 1, 0): Fraction(-7)}),
-                 Poly(3, {(1, 0, 0): Fraction(3)}),
-                 Poly.zero(3)))
+    R3 = coordinate_ring(3)
+    w = OneForm((Poly(R3, {(0, 1, 0): Fraction(-7)}),
+                 Poly(R3, {(1, 0, 0): Fraction(3)}),
+                 R3.zero()))
     c1 = BranchParametrization([{6: Fraction(1)},
                                 {14: Fraction(1), 17: Fraction(1)},
                                 {39: Fraction(1)}])
@@ -204,14 +205,13 @@ def test_criterion_8_random_form_oracle(corpus):
         for _ in range(500):
             coeffs = []
             for _c in range(2):
-                p = Poly.zero(2)
+                p = X.ring.zero()
                 for _k in range(rng.randint(1, 3)):
                     ex = rng.randint(0, 6)
                     ey = rng.randint(0, max(0, (mu - ex) // 2))
                     if ex + ey > mu:
                         continue
-                    p = p + Poly.monomial((ex, ey),
-                                          Fraction(rng.randint(-5, 5)))
+                    p = p + X ** ex * Y ** ey * Fraction(rng.randint(-5, 5))
                 coeffs.append(p)
             w = OneForm(tuple(coeffs))
             if not any(w.coeffs):

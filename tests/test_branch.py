@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from branchforms import (BranchParametrization, DomainError, Poly,
-                         characteristic_sequence, default_precision, nu,
+from branchforms import (BranchParametrization, DomainError,
+                         characteristic_sequence, coordinate_ring, default_precision, nu,
                          semigroup_of, standard_basis_of_ring)
 from branchforms.series import AbovePrecision
+from branchforms.strata import ConstraintOracle
 
 
 def test_characteristic_exponents_direct():
@@ -39,8 +40,7 @@ def test_non_primitive_rejected():
 
 def test_nu_pullback_orders():
     phi = BranchParametrization.plane(2, {3: 1})
-    x = Poly.variable(0, 2)
-    y = Poly.variable(1, 2)
+    x, y = coordinate_ring(2).gens()
     assert nu(phi, x) == 2
     assert nu(phi, y) == 3
     assert nu(phi, y * y - x * x * x) == AbovePrecision(default_precision(semigroup_of(phi)))
@@ -81,3 +81,24 @@ def test_parametrization_repr_and_cleanup():
     phi = BranchParametrization([{2: Fraction(1)}, {3: Fraction(1), 5: Fraction(0)}])
     assert phi.coords[1] == ((3, Fraction(1)),)
     assert phi.multiplicity == 2
+
+
+@pytest.mark.parametrize("n, y", [(6, {9: 1, 10: 1}), (4, {8: 1, 10: 1, 13: 1}),
+                                  (8, {12: 1, 14: 1, 15: 1})])
+def test_representatives_pull_back_to_the_basis_series(n, y):
+    phi = BranchParametrization.plane(n, y)
+    sb = standard_basis_of_ring(phi)
+    assert len(sb.polys) == len(sb.pullbacks)
+    for p, s in zip(sb.polys, sb.pullbacks):
+        assert p.eval_series(phi.series(s.precision)) == s
+
+
+@pytest.mark.parametrize("n, y", [(6, {9: 1, 10: 1}), (4, {8: 1, 10: 1, 13: 1}),
+                                  (8, {12: 1, 14: 1, 15: 1})])
+def test_basis_under_an_oracle_builds_no_representatives(n, y):
+    phi = BranchParametrization.plane(n, y)
+    concrete = standard_basis_of_ring(phi)
+    under_oracle = standard_basis_of_ring(phi, oracle=ConstraintOracle())
+    assert under_oracle.polys is None
+    assert under_oracle.pullbacks == concrete.pullbacks
+    assert under_oracle.values == concrete.values

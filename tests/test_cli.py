@@ -124,6 +124,36 @@ def test_eval_form_vanishing_pullback(capsys):
     assert out["above_precision"] > 0
 
 
+@pytest.mark.parametrize("precision", ["-3", "0"])
+def test_eval_form_rejects_nonpositive_precision(capsys, precision):
+    form = '{"d":[["x",[[1,0,"1"]]],["y",[]]]}'
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", form, "--precision", precision)
+    assert code == 2
+    assert out["error"] == "usage"
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--branch", '{"n":2,"y":[[3,"1"],[4,"1"]]}',
+                       "--form", form, "--precision", precision)
+    assert code == 2
+    assert out["error"] == "usage"
+
+
+@pytest.mark.parametrize("dx", ['[[-1,0,"1"]]', '[["a",0,"1"]]', '5'])
+def test_eval_form_rejects_malformed_polynomials(capsys, dx):
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", '{"d":[["x",%s],["y",[]]]}' % dx)
+    assert code == 2
+    assert out["error"] == "usage"
+
+
+def test_lambda_precision_is_accepted_and_changes_nothing(capsys):
+    branch = '{"n":6,"y":[[9,"1"],[10,"1"],[11,"-1/2"]]}'
+    outs = [invoke(capsys, "lambda", "--branch", branch, *extra)
+            for extra in ((), ("--precision", "5"), ("--precision", "400"))]
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_stratify_command(capsys):
     code, out = invoke(capsys, "stratify", "--gens", "6,9,19")
     assert code == 0

@@ -5,13 +5,12 @@ import pytest
 
 from branchforms import (BranchParametrization, DomainError,
                          NumericalSemigroup, OneForm, Poly, ValueSet,
-                         algorithm1_lambda, differential, eval_form_order,
+                         algorithm1_lambda, coordinate_ring, differential, eval_form_order,
                          eval_form_orders_multi, minimal_s_processes, nu,
                          pullback_form, semigroup_of)
 from branchforms.series import AbovePrecision
 
-X = Poly.variable(0, 2)
-Y = Poly.variable(1, 2)
+X, Y = coordinate_ring(2).gens()
 
 
 def test_minimal_s_processes_example():
@@ -47,13 +46,13 @@ def test_differential_value_equals_function_value():
     prec = 60
     coords = phi.series(prec)
     for _ in range(40):
-        h = Poly.zero(2)
+        h = X.ring.zero()
         for _k in range(rng.randint(1, 4)):
-            h = h + Poly.monomial((rng.randint(0, 4), rng.randint(0, 3)),
-                                  Fraction(rng.randint(-3, 3)))
+            h = h + (X ** rng.randint(0, 4) * Y ** rng.randint(0, 3)
+                     * Fraction(rng.randint(-3, 3)))
         if not h or all(sum(e) == 0 for e in h.terms):
             continue
-        h = h - Poly.constant(h.terms.get((0, 0), Fraction(0)), 2)
+        h = h - h.terms.get((0, 0), 0)
         if not h:
             continue
         order_h = nu(phi, h, precision=prec)
@@ -79,9 +78,10 @@ def test_eval_form_order_exact_differential_dies():
 
 def test_space_curve_values():
     # w = 3x dy - 7y dx on two space branches with equal Lambda
-    w = OneForm((Poly(3, {(0, 1, 0): Fraction(-7)}),
-                 Poly(3, {(1, 0, 0): Fraction(3)}),
-                 Poly.zero(3)))
+    R3 = coordinate_ring(3)
+    w = OneForm((Poly(R3, {(0, 1, 0): Fraction(-7)}),
+                 Poly(R3, {(1, 0, 0): Fraction(3)}),
+                 R3.zero()))
     c1 = BranchParametrization([{6: Fraction(1)},
                                 {14: Fraction(1), 17: Fraction(1)},
                                 {39: Fraction(1)}])

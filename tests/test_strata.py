@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from branchforms import (DomainError, NumericalSemigroup, ValueSet,
+from branchforms import (DomainError, NumericalSemigroup, Poly, ValueSet,
                          algorithm1_lambda, is_covered, normal_form_family,
-                         recover_gamma, stratify)
+                         recover_gamma, standard_basis_of_ring, stratify)
+from branchforms.strata import ConstraintOracle
 
 ROWS_6919 = [
     (16, 22, 26, 29, 32, 35, 41),
@@ -110,3 +111,16 @@ def test_4_6_13_matches_random_members():
 def test_split_budget_reports_unresolved():
     rep = stratify(NumericalSemigroup((6, 9, 19)), max_splits=0)
     assert any(s.status == "unresolved" for s in rep.strata)
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (4, 6, 13), (5, 7)])
+def test_parametric_basis_specialises_to_the_member_basis(gens):
+    family = normal_form_family(NumericalSemigroup(gens))
+    sb = standard_basis_of_ring(family.phi, gamma=family.gamma,
+                                oracle=ConstraintOracle(family.base_nonzero))
+    assert sb.polys is None
+    point = {n: Fraction(i + 2, 3) for i, n in enumerate(family.ring.names)}
+    member = standard_basis_of_ring(family.member(point))
+    at_point = tuple(s.map_coeffs(lambda c: c.eval(point) if isinstance(c, Poly) else c)
+                     for s in sb.pullbacks)
+    assert at_point == member.pullbacks
