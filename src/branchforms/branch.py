@@ -4,7 +4,8 @@ local ring.
 
 A parametrization is stored exactly as sparse coordinate polynomials in t,
 so truncated series can be materialized at any precision the computation
-needs; the default working precision for a branch is conductor + v_0 + 2.
+needs; a Lambda run works at the one length `default_precision` reads off
+the value semigroup.
 """
 
 from __future__ import annotations
@@ -129,9 +130,14 @@ def semigroup_of(phi):
 
 
 def default_precision(gamma):
-    """Working precision: conductor + v_0 + 2, enough for basis products
-    and the t-shift in 1-form values."""
-    return gamma.conductor + gamma.multiplicity + 2
+    """Length of every series in a Lambda run: max(mu - 1, v_g) + 1.
+
+    The completion reads the pullbacks of differentials below mu - 1 in
+    its reductions and at v_i - 1 in its lead checks, and the semiroot
+    tower reads positions up to v_g; coefficient k of a truncated product
+    depends only on operand coefficients up to k, so no position that is
+    read depends on one that is cut."""
+    return max(gamma.conductor - 1, gamma.generators[-1]) + 1
 
 
 def nu(phi, h, precision=None):
@@ -154,6 +160,13 @@ class StandardBasisOf:
     values: tuple
     gamma: NumericalSemigroup
 
+    @property
+    def elements(self):
+        """The basis as the tuples the tower carries: (pullback,) in a
+        parametric run, (pullback, representative) in a concrete one."""
+        columns = (self.pullbacks,) if self.polys is None else (self.pullbacks, self.polys)
+        return tuple(zip(*columns))
+
 
 def _cancel(target, lc, reducer, lp):
     """Subtract a multiple of reducer from target so their leading terms cancel.
@@ -171,7 +184,7 @@ def _cancel(target, lc, reducer, lp):
     return tuple(t.scale(lp) - r.scale(lc) for t, r in zip(target, reducer))
 
 
-def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
+def standard_basis_of_ring(phi, gamma=None, oracle=None):
     """Minimal standard basis of the local ring via a semiroot tower.
 
     Starting from {x, y}, each next representative is obtained from the
@@ -191,8 +204,7 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None, precision=None):
     e = gamma.e
     n = gamma.n
     g = gamma.g
-    if precision is None:
-        precision = default_precision(gamma)
+    precision = default_precision(gamma)
     xs, ys = phi.series(precision)[:2]
     if xs.order() != v[0]:
         raise DomainError("x(t) must have order v_0")

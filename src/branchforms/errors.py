@@ -15,7 +15,3 @@ class DomainError(BranchFormsError):
 
 class PrecisionError(BranchFormsError):
     """A series operation could not certify the requested order."""
-
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required

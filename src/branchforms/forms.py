@@ -10,13 +10,12 @@ Lambda beyond the semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import heapq
 import itertools
+import operator
 
-from .branch import (_cancel, default_precision, semigroup_of,
-                     standard_basis_of_ring)
+from .branch import _cancel, semigroup_of, standard_basis_of_ring
 from .errors import DomainError, PrecisionError, ValidationError
 from .series import AbovePrecision, TruncatedSeries
 from .valueset import ValueSet
@@ -77,9 +76,12 @@ def pullback_form(form, coord_series):
 
 def eval_form_order(phi, form, precision=None):
     """nu(w) = 1 + ord(phi^*(w)), or AbovePrecision when the pullback
-    vanishes to within precision."""
+    vanishes to within precision.
+
+    Without a precision the pullback is expanded in full, so
+    AbovePrecision means the form vanishes identically on the branch."""
     if precision is None:
-        precision = default_precision(semigroup_of(phi))
+        precision = _exact_precision(phi, form)
     pull = pullback_form(form, phi.series(precision))
     o = pull.order()
     if isinstance(o, AbovePrecision):
@@ -103,19 +105,16 @@ def _exact_precision(phi, form):
 
 
 def eval_form_orders_multi(branches, form, precision=None):
-    """Componentwise value tuple of one form on several branches.
-
-    Without a precision each branch is expanded far enough that its
-    pullback is exact, so a zero pullback means the form vanishes on it."""
+    """Componentwise value tuple of one form on several branches; a
+    pullback that vanishes (identically, without a precision) is a
+    DomainError."""
     out = []
     for i, phi in enumerate(branches):
-        prec = precision or _exact_precision(phi, form)
-        pull = pullback_form(form, phi.series(prec))
-        o = pull.order()
-        if isinstance(o, AbovePrecision):
-            where = f" (to precision {o.precision})" if precision else ""
+        value = eval_form_order(phi, form, precision)
+        if isinstance(value, AbovePrecision):
+            where = f" (to precision {value.precision})" if precision else ""
             raise DomainError(f"form pulls back to zero on branch {i}{where}")
-        out.append(o + 1)
+        out.append(value)
     return tuple(out)
 
 
@@ -181,6 +180,23 @@ class FormEntry:
     minimal: bool = False
 
 
+def _entry(elem, value):
+    """FormEntry of a carried tuple: (pull,) has no form, (pull, form) has."""
+    pull, form = (elem + (None,))[:2]
+    return FormEntry(form, pull, value)
+
+
+# How a product of ring-basis powers multiplies each component of an
+# entry: the pullback as product x entry, the 1-form through its
+# coefficients (Poly x OneForm would first go through a failed Poly.__mul__).
+_TIMES = (operator.mul, lambda poly, form: form.mul_poly(poly))
+
+
+def _times(prod, entry):
+    """prod x entry, componentwise over the width of prod."""
+    return tuple(f(p, e) for f, p, e in zip(_TIMES, prod, (entry.pull, entry.form)))
+
+
 @dataclass(frozen=True)
 class FormValueBasis:
     entries: tuple
@@ -193,61 +209,47 @@ class FormValueBasis:
 
 
 class _ProductCache:
-    """Products of powers of the ring standard basis: pullback series, and
-    the polynomials too when 1-forms are carried (polys is None otherwise).
-    product() returns (pull, poly)."""
+    """Products of powers of the ring standard basis, as tuples shaped like
+    its elements (`StandardBasisOf.elements`)."""
 
-    def __init__(self, pullbacks, polys):
-        self.pullbacks = pullbacks
-        self.polys = polys
+    def __init__(self, basis):
+        self.basis = basis
         self._pow = {}
         self._prod = {}
-
-    def _power(self, i, k):
-        key = (i, k)
-        if key not in self._pow:
-            self._pow[key] = (self.pullbacks[i] ** k,
-                              None if self.polys is None else self.polys[i] ** k)
-        return self._pow[key]
 
     def product(self, delta):
         delta = tuple(delta)
         if delta not in self._prod:
-            pull = poly = None
+            out = None
             for i, d in enumerate(delta):
                 if not d:
                     continue
-                s, p = self._power(i, d)
-                pull = s if pull is None else pull * s
-                if self.polys is not None:
-                    poly = p if poly is None else poly * p
-            if pull is None:
-                pull = TruncatedSeries.monomial(
-                    0, Fraction(1), self.pullbacks[0].precision)
-                if self.polys is not None:
-                    poly = self.polys[0].ring.one()
-            self._prod[delta] = (pull, poly)
+                if (i, d) not in self._pow:
+                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
+                p = self._pow[i, d]
+                out = p if out is None else tuple(a * b for a, b in zip(out, p))
+            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
         return self._prod[delta]
 
 
-def reduce_form(form, pull, entries, gamma, bound, cache, oracle=None):
-    """Final reduction of (form, pull) modulo the current basis.
+def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
+    """Final reduction of elem = (pull,) or (pull, form) modulo the
+    current basis.
 
-    form is None when 1-forms are not carried; then only the pullback is
-    reduced.  Returns a FormEntry with the surviving value, or None
-    (discard) when the chain leaves the bound.  Positions whose value is
-    reducible by the basis are cancelled without a zero test: subtracting
-    (c/lp) times a value-matched multiple is a no-op when c happens to
-    vanish, so only coefficients at genuinely new values ever need the
-    oracle (this is what keeps parametric runs from splitting on every
-    intermediate coefficient).
+    Returns a FormEntry with the surviving value, or None (discard) when
+    the chain leaves the bound.  Positions whose value is reducible by the
+    basis are cancelled without a zero test: subtracting (c/lp) times a
+    value-matched multiple is a no-op when c happens to vanish, so only
+    coefficients at genuinely new values ever need the oracle (this is
+    what keeps parametric runs from splitting on every intermediate
+    coefficient).
     """
     is_zero = oracle.is_zero if oracle is not None else None
-    if pull.precision < bound:
-        raise PrecisionError("series shorter than the reduction bound",
-                             required=bound + 1)
+    if elem[0].precision < bound:
+        raise PrecisionError("series shorter than the reduction bound")
     o = 0
     while True:
+        pull = elem[0]
         while o < bound and not pull.coeffs[o]:
             o += 1
         if o >= bound:
@@ -267,57 +269,40 @@ def reduce_form(form, pull, entries, gamma, bound, cache, oracle=None):
             if is_zero is not None and is_zero(c):
                 o += 1
                 continue
-            return FormEntry(form, pull, value)
+            return _entry(elem, value)
         entry, delta = reducer
-        prod_pull, prod_poly = cache.product(delta)
-        red_pull = prod_pull * entry.pull
-        rlead = red_pull.leading()
+        red = _times(cache.product(delta), entry)
+        rlead = red[0].leading()
         assert not isinstance(rlead, AbovePrecision) and rlead[0] == o
-        if form is None:
-            (pull,) = _cancel((pull,), c, (red_pull,), rlead[1])
-        else:
-            pull, form = _cancel((pull, form), c,
-                                 (red_pull, entry.form.mul_poly(prod_poly)),
-                                 rlead[1])
+        elem = _cancel(elem, c, red, rlead[1])
         o += 1
 
 
-def algorithm1_core(sb, oracle=None, bound=None):
+def algorithm1_core(sb, oracle=None):
     """Completion loop over the differentials of the ring standard basis.
 
     Returns the list of FormEntry making up a standard basis of the
-    pulled-back 1-form module, in discovery order.  A run under an oracle
-    is parametric and its callers read values only, so it carries no
-    1-forms (FormEntry.form is None) and sb needs no representatives
-    (sb.polys is None); a concrete run carries them as certificates of the
-    values.
-
-    Every series is cut to precision need + 1, need = max(bound, max v_i):
-    reductions read positions below bound, the entry-lead checks read
-    position v_i - 1, and the coefficient k of a truncated product depends
-    only on operand coefficients up to k, so no value that is read changes.
+    pulled-back 1-form module, in discovery order.  Elements are carried
+    as tuples shaped like `sb.elements`: (pull,) for a parametric basis,
+    whose callers read values only, so FormEntry.form is None; (pull, form)
+    for a concrete one, the 1-form certifying the value.
     """
     gamma = sb.gamma
-    mu = gamma.conductor
-    if bound is None:
-        bound = mu - 1
-    carry = oracle is None
-    need = max(bound, max(sb.values))
-    pullbacks = tuple(s.truncate(need + 1) for s in sb.pullbacks)
-    cache = _ProductCache(pullbacks, sb.polys if carry else None)
+    bound = gamma.conductor - 1
+    basis = sb.elements
+    cache = _ProductCache(basis)
 
     # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
     # is the derivative of the basis pullback.  Basis pullbacks keep exact
     # (syntactic) zeros below their order, so lead extraction here never
     # needs the parametric oracle.
     entries = []
-    for i, (s, v) in enumerate(zip(pullbacks, sb.values)):
-        pull = s.derivative()
-        lead = pull.leading()
+    for b, v in zip(basis, sb.values):
+        elem = tuple(d(f) for d, f in zip((TruncatedSeries.derivative, differential), b))
+        lead = elem[0].leading()
         assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
             f"nu(dh) = {lead} expected value {v}"
-        entries.append(FormEntry(differential(sb.polys[i]) if carry else None,
-                                 pull, v))
+        entries.append(_entry(elem, v))
 
     gens = gamma.generators
     cap = bound + gens[-1]
@@ -345,21 +330,14 @@ def algorithm1_core(sb, oracle=None, bound=None):
 
     while heap:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
-        ep, eq = entries[p], entries[q]
-        pa_pull, pa_poly = cache.product(alpha)
-        pg_pull, pg_poly = cache.product(gamma_v)
-        sp_pull = pa_pull * ep.pull
-        sq_pull = pg_pull * eq.pull
-        lp = sp_pull.leading()
-        lq = sq_pull.leading()
+        sp = _times(cache.product(alpha), entries[p])
+        sq = _times(cache.product(gamma_v), entries[q])
+        lp = sp[0].leading()
+        lq = sq[0].leading()
         assert not isinstance(lp, AbovePrecision) and lp[0] == m - 1
         assert not isinstance(lq, AbovePrecision) and lq[0] == m - 1
-        s_pull = sp_pull.scale(lq[1]) - sq_pull.scale(lp[1])
-        s_form = None
-        if carry:
-            s_form = (ep.form.mul_poly(pa_poly).scale(lq[1])
-                      - eq.form.mul_poly(pg_poly).scale(lp[1]))
-        result = reduce_form(s_form, s_pull, entries, gamma, bound, cache, oracle)
+        s = tuple(a.scale(lq[1]) - b.scale(lp[1]) for a, b in zip(sp, sq))
+        result = reduce_form(s, entries, gamma, bound, cache, oracle)
         if result is not None:
             entries.append(result)
             push_new(len(entries) - 1)
@@ -390,9 +368,7 @@ def algorithm1_lambda(phi, gamma=None):
     """Standard basis of the pulled-back 1-form module and the set Lambda.
 
     A concrete run: every entry carries its 1-form, a certificate of its
-    value.  The default precision mu + v_0 + 2 of the ring basis always
-    covers the cut max(mu - 1, v_g) + 1 of `algorithm1_core`, because
-    mu = sum (n_i - 1) v_i - v_0 + 1 >= v_g - v_0 + 1."""
+    value."""
     if phi.ncoords != 2:
         raise DomainError("Lambda computation is for plane branches only")
     if gamma is None:

@@ -26,6 +26,17 @@ def frac_from_str(s):
         raise ValidationError(f"bad rational {s!r}") from exc
 
 
+def int_from_json(v):
+    """A JSON integer or integer string; a float or a boolean is rejected
+    rather than truncated."""
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValidationError(f"expected an integer, got {v!r}")
+
+
 # -- branches --------------------------------------------------------------
 
 
@@ -44,9 +55,9 @@ def branch_to_json(phi):
 
 def branch_from_json(obj):
     try:
-        n = int(obj["n"])
-        y = {int(e): frac_from_str(c) for e, c in obj.get("y", [])}
-        extra = [{int(e): frac_from_str(c) for e, c in coord}
+        n = int_from_json(obj["n"])
+        y = {int_from_json(e): frac_from_str(c) for e, c in obj.get("y", [])}
+        extra = [{int_from_json(e): frac_from_str(c) for e, c in coord}
                  for coord in obj.get("extra", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad branch JSON: {exc}") from exc
@@ -70,7 +81,7 @@ def _poly_from_json(items, nvars):
             if len(item) != nvars + 1:
                 raise ValidationError(
                     f"polynomial term {item!r} needs {nvars} exponents and a coefficient")
-            exps = tuple(int(v) for v in item[:-1])
+            exps = tuple(int_from_json(v) for v in item[:-1])
             if min(exps, default=0) < 0:
                 raise ValidationError(f"negative exponent in polynomial term {item!r}")
             terms[exps] = terms.get(exps, 0) + frac_from_str(item[-1])
@@ -103,7 +114,11 @@ def form_from_json(obj):
 
 
 def valueset_from_json(obj):
-    return ValueSet.from_json(obj)
+    try:
+        return ValueSet(tuple(int_from_json(e) for e in obj["elements"]),
+                        int_from_json(obj["cofinal"]))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"bad value-set JSON: {exc}") from exc
 
 
 # -- stratification reports ------------------------------------------------------

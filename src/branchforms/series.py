@@ -3,9 +3,8 @@
 A series stores all coefficients for exponents 0..precision-1; everything
 from t^precision on is unknown.  Coefficients are exact: rationals in
 concrete mode or `poly.Poly`s in the family parameters when computing over
-a family.  Zero tests go
-through a pluggable predicate so that the parametric driver can intercept
-coefficients whose vanishing is undecidable without a case split.
+a family.  Zero tests here are syntactic; a parametric run decides the
+vanishing of a coefficient through its constraint oracle instead.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class AbovePrecision:
 
     def __repr__(self):
         return f"AbovePrecision({self.precision})"
-
-
-def _syntactic_is_zero(c):
-    return not c
 
 
 class TruncatedSeries:
@@ -135,21 +130,15 @@ class TruncatedSeries:
 
     # -- order ----------------------------------------------------------------
 
-    def leading(self, is_zero=None):
-        """(exponent, coefficient) of the lowest surviving term, or AbovePrecision.
-
-        The zero test defaults to the syntactic one; parametric callers pass
-        a constraint-aware predicate that may raise to request a case split.
-        """
-        if is_zero is None:
-            is_zero = _syntactic_is_zero
+    def leading(self):
+        """(exponent, coefficient) of the lowest nonzero term, or AbovePrecision."""
         for i, c in enumerate(self.coeffs):
-            if not is_zero(c):
+            if c:
                 return i, c
         return AbovePrecision(self.precision)
 
-    def order(self, is_zero=None):
-        lead = self.leading(is_zero)
+    def order(self):
+        lead = self.leading()
         if isinstance(lead, AbovePrecision):
             return lead
         return lead[0]

@@ -305,15 +305,11 @@ def stratify(gamma, max_splits=60, seed=0):
         stratum = Stratum(tuple(task.equalities), nonzero_final,
                           tuple(task.substitutions), lam, None, "resolved",
                           minimal_values=minimal)
-        for attempt in range(5):
-            stratum.witness = _sample_witness(family, stratum, rng)
-            if stratum.witness is None:
-                break
+        stratum.witness = _sample_witness(family, stratum, rng)
+        if stratum.witness is not None:
             concrete = family.member(stratum.witness)
             check = algorithm1_lambda(concrete, gamma=gamma).lambda_set
-            if check == lam:
-                break
-            if attempt == 4:
+            if check != lam:
                 raise DomainError(
                     f"stratum witness disagrees with the parametric run: "
                     f"{check} vs {lam}")

@@ -64,13 +64,6 @@ class ValueSet:
     def to_json(self):
         return {"elements": list(self.elements), "cofinal": self.cofinal}
 
-    @staticmethod
-    def from_json(obj):
-        try:
-            return ValueSet(tuple(obj["elements"]), int(obj["cofinal"]))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad value-set JSON: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class AperyProfile:
@@ -170,9 +163,9 @@ def recover_gamma(lam):
     return NumericalSemigroup(gens)
 
 
-def from_semigroup(gamma, *, punctured=True):
-    """Render a numerical semigroup (minus 0 by default) as a ValueSet."""
+def from_semigroup(gamma):
+    """Render a numerical semigroup minus 0 as a ValueSet."""
     mu = gamma.conductor
     cof = max(mu, 1)
-    members = [z for z in gamma.members_up_to(cof) if z > 0 or not punctured]
+    members = [z for z in gamma.members_up_to(cof) if z > 0]
     return ValueSet(tuple(members), cof)

@@ -102,3 +102,14 @@ def test_basis_under_an_oracle_builds_no_representatives(n, y):
     assert under_oracle.polys is None
     assert under_oracle.pullbacks == concrete.pullbacks
     assert under_oracle.values == concrete.values
+
+
+@pytest.mark.parametrize("n, y", [(6, {9: 1, 10: 1}), (4, {8: 1, 10: 1, 13: 1}),
+                                  (8, {12: 1, 14: 1, 15: 1}), (1, {})])
+def test_basis_series_have_the_default_precision(n, y):
+    # one length, max(mu - 1, v_g) + 1, for every series of a Lambda run
+    phi = BranchParametrization.plane(n, y)
+    gamma = semigroup_of(phi)
+    sb = standard_basis_of_ring(phi)
+    assert default_precision(gamma) == max(gamma.conductor - 1, gamma.generators[-1]) + 1
+    assert all(s.precision == default_precision(gamma) for s in sb.pullbacks)

@@ -199,3 +199,47 @@ def test_unknown_subcommand_is_usage_error(capsys):
     code = run(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("branch, form, value", [
+    # a single space branch: no plane semigroup is needed for the length
+    ('{"n":6,"y":[[14,"1"],[17,"1"]],"extra":[[[39,"1"]]]}',
+     '{"d":[["x",[[0,1,0,"-7"]]],["y",[[1,0,0,"3"]]],["z",[]]]}', 23),
+    # x^40 dx on (t^2, t^3): value 82, far above any semigroup-derived length
+    ('{"n":2,"y":[[3,"1"]]}', '{"d":[["x",[[40,0,"1"]]],["y",[]]]}', 82),
+])
+def test_eval_form_single_branch_is_exact(capsys, branch, form, value):
+    code, out = invoke(capsys, "eval-form", "--branch", branch, "--form", form)
+    assert code == 0
+    assert out == {"value": value}
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--branch", '{"n":2,"y":[[3.7,"1"]]}'),
+    ("lambda", "--branch", '{"n":2.9,"y":[[3,"1"]]}'),
+    ("lambda", "--branch", '{"n":2,"y":[[true,"1"]]}'),
+    ("lambda", "--branch", '{"n":true,"y":[[3,"1"]]}'),
+    ("semigroup", "--branch", '{"n":2,"y":[[3,"1"]],"extra":[[[5.5,"1"]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[[1.5,0,"1"]]],["y",[]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[[1,false,"1"]]],["y",[]]]}'),
+    ("recover-gamma", "--set", '{"elements":[6,9,12,15,16,18,19,21,22],"cofinal":24.9}'),
+    ("recover-gamma", "--set", '{"elements":[6.5,9,12,15,16,18,19,21,22],"cofinal":24}'),
+    ("decide", "--set", '{"elements":[6,9,12,15,16,18,19,21,22,24,25],"cofinal":true}'),
+])
+def test_non_integer_json_numbers_are_usage_errors(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage"
+
+
+def test_integer_strings_are_still_integers(capsys):
+    code, out = invoke(capsys, "lambda", "--branch", '{"n":"2","y":[["3","1"]]}')
+    assert code == 0 and out["gamma"] == [2, 3]
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", '{"d":[["x",[["1",0,"1"]]],["y",[]]]}')
+    assert code == 0 and out == {"value": 4}
+    code, out = invoke(capsys, "recover-gamma", "--set",
+                       '{"elements":[6,9,12,15,16,18,19,21,"22"],"cofinal":"24"}')
+    assert code == 0 and out["generators"] == [6, 9, 19]

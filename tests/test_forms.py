@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,8 +8,11 @@ from branchforms import (BranchParametrization, DomainError,
                          NumericalSemigroup, OneForm, Poly, ValueSet,
                          algorithm1_lambda, coordinate_ring, differential, eval_form_order,
                          eval_form_orders_multi, minimal_s_processes, nu,
-                         pullback_form, semigroup_of)
+                         normal_form_family, pullback_form, semigroup_of,
+                         standard_basis_of_ring, stratify)
+from branchforms.forms import algorithm1_core, assemble_lambda
 from branchforms.series import AbovePrecision
+from branchforms.strata import ConstraintOracle
 
 X, Y = coordinate_ring(2).gens()
 
@@ -172,3 +176,28 @@ def test_minimal_basis_values_irredundant(corpus):
         for i, v in enumerate(vals):
             for w in vals[:i]:
                 assert (v - w) not in basis.gamma
+
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (4, 6, 13), (5, 7)])
+def test_certificate_width_follows_the_basis(gens):
+    # A concrete basis stripped of its representatives carries no 1-forms,
+    # even without an oracle, and gives the values of the full run.
+    family = normal_form_family(NumericalSemigroup(gens))
+    point = {n: Fraction(i + 2, 3) for i, n in enumerate(family.ring.names)}
+    sb = standard_basis_of_ring(family.member(point))
+    full = algorithm1_core(sb)
+    assert all(e.form is not None for e in full)
+    bare = algorithm1_core(dataclasses.replace(sb, polys=None))
+    assert all(e.form is None for e in bare)
+    assert [e.value for e in bare] == [e.value for e in full]
+
+
+def test_parametric_entries_carry_no_forms():
+    rep = stratify(NumericalSemigroup((4, 6, 13)))
+    generic = next(s for s in rep.strata if not s.equalities)
+    oracle = ConstraintOracle(generic.nonzero)
+    sb = standard_basis_of_ring(rep.family.phi, gamma=rep.gamma, oracle=oracle)
+    entries = algorithm1_core(sb, oracle=oracle)
+    assert entries and all(e.form is None for e in entries)
+    assert assemble_lambda(entries, rep.gamma) == generic.lambda_set

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from branchforms import (DomainError, NumericalSemigroup, Poly, ValueSet,
                          algorithm1_lambda, is_covered, normal_form_family,
                          recover_gamma, standard_basis_of_ring, stratify)
+from branchforms import strata
 from branchforms.strata import ConstraintOracle
 
 ROWS_6919 = [
@@ -124,3 +126,21 @@ def test_parametric_basis_specialises_to_the_member_basis(gens):
     at_point = tuple(s.map_coeffs(lambda c: c.eval(point) if isinstance(c, Poly) else c)
                      for s in sb.pullbacks)
     assert at_point == member.pullbacks
+
+
+def test_one_wrong_witness_is_an_error(monkeypatch):
+    # The concrete run of the first witness disagrees once: that alone
+    # proves a fault, so stratify must not draw another witness.
+    real = strata.algorithm1_lambda
+    calls = []
+
+    def wrong_once(phi, gamma=None):
+        basis = real(phi, gamma=gamma)
+        if not calls:
+            calls.append(phi)
+            return dataclasses.replace(basis, lambda_set=ValueSet((), 1))
+        return basis
+
+    monkeypatch.setattr(strata, "algorithm1_lambda", wrong_once)
+    with pytest.raises(DomainError, match="witness disagrees"):
+        stratify(NumericalSemigroup((2, 5)))

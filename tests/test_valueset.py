@@ -6,6 +6,7 @@ from branchforms import (DomainError, NumericalSemigroup, ValidationError,
                          ValueSet, apery_profile, apery_set, b_sets,
                          epsilon_eta, from_semigroup, is_covered,
                          recover_gamma)
+from branchforms.jsonio import valueset_from_json
 
 # The running example: four candidate sets differing in a few elements.
 L1 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 24, 25), 27)
@@ -40,7 +41,7 @@ def test_rejects_zero_and_negatives():
 
 def test_json_roundtrip():
     s = ValueSet((6, 9, 12), 14)
-    assert ValueSet.from_json(s.to_json()) == s
+    assert valueset_from_json(s.to_json()) == s
 
 
 def test_apery_sets_of_running_example():
