@@ -184,14 +184,42 @@ def _cancel(target, lc, reducer, lp):
     return tuple(t.scale(lp) - r.scale(lc) for t, r in zip(target, reducer))
 
 
+class _ProductCache:
+    """Products of powers of a standard basis, as tuples shaped like its
+    elements (`StandardBasisOf.elements`).  The basis list may grow while
+    the cache is in use; a product only reads the elements it names."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._pow = {}
+        self._prod = {}
+
+    def product(self, delta):
+        delta = tuple(delta)
+        if delta not in self._prod:
+            out = None
+            for i, d in enumerate(delta):
+                if not d:
+                    continue
+                if (i, d) not in self._pow:
+                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
+                p = self._pow[i, d]
+                out = p if out is None else tuple(a * b for a, b in zip(out, p))
+            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
+        return self._prod[delta]
+
+
 def standard_basis_of_ring(phi, gamma=None, oracle=None):
     """Minimal standard basis of the local ring via a semiroot tower.
 
-    Starting from {x, y}, each next representative is obtained from the
-    power h_k^{n_k} by cancelling leading terms against monomials in the
-    earlier representatives until the target value v_{k+1} is reached.
-    Orders below the target always lie in <v_0, ..., v_k>, which supplies
-    the cancelling monomial.
+    Starting from x, each next representative h_{k+1} comes from y
+    (k = 0) or from the power h_k^{n_k} by the reduction step the 1-form
+    completion runs (`forms.reduce_form`): the leading term at each order
+    o < v_{k+1} is cancelled against the product of representatives that
+    Gamma's unique representation of o names.  An order below v_{k+1}
+    that lies in Gamma is a sum of v_0, ..., v_k only, so that product
+    uses the representatives already built; an order outside Gamma is a
+    DomainError.
 
     A run under an oracle is parametric and its callers read pullbacks
     only, so it builds no representatives (polys is None), the same rule
@@ -199,78 +227,41 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
     """
     if gamma is None:
         gamma = semigroup_of(phi)
-    is_zero = oracle.is_zero if oracle is not None else None
+    is_zero = oracle.is_zero if oracle is not None else (lambda c: not c)
     v = gamma.generators
-    e = gamma.e
-    n = gamma.n
-    g = gamma.g
-    precision = default_precision(gamma)
-    xs, ys = phi.series(precision)[:2]
+    xs, ys = phi.series(default_precision(gamma))[:2]
     if xs.order() != v[0]:
         raise DomainError("x(t) must have order v_0")
 
     # Each element is the tuple (pullback,) or (pullback, representative).
-    x_poly, y_poly = coordinate_ring(2).gens()
     width = 2 if oracle is None else 1
-    x, y = (xs, x_poly)[:width], (ys, y_poly)[:width]
-    unit = (TruncatedSeries.monomial(0, Fraction(1), precision),
-            x_poly.ring.one())[:width]
-    basis = [x]
-    values = [v[0]]
-
-    def result():
-        polys = tuple(b[1] for b in basis) if oracle is None else None
-        return StandardBasisOf(polys, tuple(b[0] for b in basis),
-                               tuple(values), gamma)
-
-    if g == 0:
-        return result()
-
-    # Raise y to value v_1 (handles ord(y) a multiple of v_0).  Positions
-    # below the target are cancelled without a zero test: subtracting a
-    # value-matched multiple is a no-op when the coefficient vanishes, so
-    # only the coefficient at the target itself ever needs the oracle.
-    h = y
-    for o in range(v[1]):
-        c = h[0].coeffs[o]
-        if not c:
-            continue
-        if o % v[0] != 0:
-            raise DomainError(f"unexpected order {o} while normalizing y to value {v[1]}")
-        k = o // v[0]
-        h = _cancel(h, c, tuple(f ** k for f in x), 1)
-    lc = h[0].coeffs[v[1]]
-    if (is_zero(lc) if is_zero is not None else not lc):
-        raise DomainError("y(t) pullback vanished below the target value v_1")
-    basis.append(h)
-    values.append(v[1])
-
-    for k in range(1, g):
+    x_poly, y_poly = coordinate_ring(2).gens()
+    basis = [(xs, x_poly)[:width]]
+    cache = _ProductCache(basis)
+    for k in range(gamma.g):
         target = v[k + 1]
-        scaled = NumericalSemigroup(tuple(vi // e[k] for vi in v[: k + 1]))
-        if len(scaled.generators) != k + 1:
-            raise DomainError("scaled generator system is not minimal")
-        h = tuple(f ** n[k] for f in basis[k])
-        for o in range(n[k] * v[k], target):
+        if k == 0:
+            h = (ys, y_poly)[:width]
+        else:
+            h = tuple(f ** gamma.n[k] for f in basis[k])
+        # Positions below the target are cancelled without a zero test:
+        # subtracting a value-matched multiple is a no-op when the
+        # coefficient vanishes, so only the coefficient at the target
+        # itself ever needs the oracle.
+        for o in range(target):
             c = h[0].coeffs[o]
             if not c:
                 continue
-            if o % e[k] != 0:
-                raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
-            member, s = scaled.membership(o // e[k])
+            member, s = gamma.membership(o)
             if not member:
                 raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
-            prod = unit
-            for i, si in enumerate(s):
-                if si:
-                    prod = tuple(p * f ** si for p, f in zip(prod, basis[i]))
+            prod = cache.product(s)
             plead = prod[0].leading()
             assert not isinstance(plead, AbovePrecision) and plead[0] == o
             h = _cancel(h, c, prod, plead[1])
-        lc = h[0].coeffs[target]
-        if (is_zero(lc) if is_zero is not None else not lc):
+        if is_zero(h[0].coeffs[target]):
             raise DomainError(f"semiroot pullback vanished at target value {target}")
         basis.append(h)
-        values.append(target)
 
-    return result()
+    polys = tuple(b[1] for b in basis) if oracle is None else None
+    return StandardBasisOf(polys, tuple(b[0] for b in basis), v, gamma)

@@ -15,7 +15,8 @@ import heapq
 import itertools
 import operator
 
-from .branch import _cancel, semigroup_of, standard_basis_of_ring
+from .branch import (_cancel, _ProductCache, semigroup_of,
+                     standard_basis_of_ring)
 from .errors import DomainError, PrecisionError, ValidationError
 from .series import AbovePrecision, TruncatedSeries
 from .valueset import ValueSet
@@ -206,30 +207,6 @@ class FormValueBasis:
     @property
     def minimal_values(self):
         return tuple(e.value for e in self.entries if e.minimal)
-
-
-class _ProductCache:
-    """Products of powers of the ring standard basis, as tuples shaped like
-    its elements (`StandardBasisOf.elements`)."""
-
-    def __init__(self, basis):
-        self.basis = basis
-        self._pow = {}
-        self._prod = {}
-
-    def product(self, delta):
-        delta = tuple(delta)
-        if delta not in self._prod:
-            out = None
-            for i, d in enumerate(delta):
-                if not d:
-                    continue
-                if (i, d) not in self._pow:
-                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
-                p = self._pow[i, d]
-                out = p if out is None else tuple(a * b for a, b in zip(out, p))
-            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
-        return self._prod[delta]
 
 
 def reduce_form(elem, entries, gamma, bound, cache, oracle=None):

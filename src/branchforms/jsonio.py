@@ -37,6 +37,14 @@ def int_from_json(v):
     raise ValidationError(f"expected an integer, got {v!r}")
 
 
+def array_from_json(v):
+    """A JSON array; a string or an object is rejected rather than
+    iterated."""
+    if isinstance(v, (list, tuple)):
+        return v
+    raise ValidationError(f"expected an array, got {v!r}")
+
+
 # -- branches --------------------------------------------------------------
 
 
@@ -53,12 +61,17 @@ def branch_to_json(phi):
     return out
 
 
+def _coord_from_json(terms):
+    return {int_from_json(e): frac_from_str(c)
+            for e, c in map(array_from_json, array_from_json(terms))}
+
+
 def branch_from_json(obj):
     try:
         n = int_from_json(obj["n"])
-        y = {int_from_json(e): frac_from_str(c) for e, c in obj.get("y", [])}
-        extra = [{int_from_json(e): frac_from_str(c) for e, c in coord}
-                 for coord in obj.get("extra", [])]
+        y = _coord_from_json(obj.get("y", []))
+        extra = [_coord_from_json(coord)
+                 for coord in array_from_json(obj.get("extra", []))]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad branch JSON: {exc}") from exc
     return BranchParametrization.plane(n, y, extra)
@@ -77,7 +90,7 @@ def _poly_to_json(p):
 def _poly_from_json(items, nvars):
     terms = {}
     try:
-        for item in items:
+        for item in map(array_from_json, array_from_json(items)):
             if len(item) != nvars + 1:
                 raise ValidationError(
                     f"polynomial term {item!r} needs {nvars} exponents and a coefficient")
@@ -98,7 +111,7 @@ def form_to_json(form):
 
 def form_from_json(obj):
     try:
-        entries = obj["d"]
+        entries = [array_from_json(entry) for entry in array_from_json(obj["d"])]
         names = [name for name, _ in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad 1-form JSON: {exc}") from exc
@@ -115,7 +128,8 @@ def form_from_json(obj):
 
 def valueset_from_json(obj):
     try:
-        return ValueSet(tuple(int_from_json(e) for e in obj["elements"]),
+        elements = array_from_json(obj["elements"])
+        return ValueSet(tuple(int_from_json(e) for e in elements),
                         int_from_json(obj["cofinal"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad value-set JSON: {exc}") from exc

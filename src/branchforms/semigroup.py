@@ -9,6 +9,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, ValidationError
@@ -83,64 +84,46 @@ class NumericalSemigroup:
     def multiplicity(self):
         return self.generators[0]
 
-    @property
+    @cached_property
     def e(self):
         return tuple(_gcd_chain(self.generators))
 
-    @property
+    @cached_property
     def n(self):
         es = self.e
         return (1,) + tuple(es[i - 1] // es[i] for i in range(1, len(es)))
 
-    @property
+    @cached_property
     def is_free(self):
         """True when n_i * v_i always lies in <v_0, ..., v_{i-1}>; the
         unique-representation arithmetic below is valid exactly then.
         Plane branch semigroups are always free."""
-        cached = getattr(self, "_free", None)
-        if cached is None:
-            v = self.generators
-            n = self.n
-            cached = all(_in_semigroup_of(n[i] * v[i], list(v[:i]))
-                         for i in range(1, len(v)))
-            object.__setattr__(self, "_free", cached)
-        return cached
+        v = self.generators
+        n = self.n
+        return all(_reachable(v[:i], n[i] * v[i] + 1)[-1] for i in range(1, len(v)))
 
+    @cached_property
     def _table(self):
         """Reachability table for the general (non-free) case."""
-        cached = getattr(self, "_tbl", None)
-        if cached is None:
-            v = self.generators
-            bound = v[0] * v[-1] + v[0] + 1
-            while True:
-                cached = [False] * bound
-                cached[0] = True
-                for gen in v:
-                    for k in range(gen, bound):
-                        if cached[k - gen]:
-                            cached[k] = True
-                # the table must end in a full run of v_0 members, so that
-                # everything beyond it is certainly reachable
-                if all(cached[-v[0]:]):
-                    break
-                bound *= 2
-            object.__setattr__(self, "_tbl", cached)
-        return cached
+        v = self.generators
+        bound = v[0] * v[-1] + v[0] + 1
+        while True:
+            table = _reachable(v, bound)
+            # the table must end in a full run of v_0 members, so that
+            # everything beyond it is certainly reachable
+            if all(table[-v[0]:]):
+                return table
+            bound *= 2
 
-    @property
+    @cached_property
     def conductor(self):
         if self.is_free:
             v = self.generators
             n = self.n
             mu = sum((n[i] - 1) * v[i] for i in range(1, len(v))) - v[0] + 1
             return max(mu, 0)
-        tbl = self._table()
-        gap = -1
-        for z in range(len(tbl) - 1, -1, -1):
-            if not tbl[z]:
-                gap = z
-                break
-        return gap + 1
+        return max((z + 1 for z, member in enumerate(self._table) if not member),
+                   default=0)
 
     # -- membership ------------------------------------------------------------
 
@@ -177,7 +160,7 @@ class NumericalSemigroup:
             return True
         if self.is_free:
             return self.membership(z)[0]
-        tbl = self._table()
+        tbl = self._table
         return tbl[z] if z < len(tbl) else True
 
     def members_up_to(self, bound):
@@ -198,23 +181,22 @@ def _minimalize(gens):
         changed = False
         for i in range(len(gens) - 1, 0, -1):
             others = gens[:i] + gens[i + 1 :]
-            if _in_semigroup_of(gens[i], others):
+            if _reachable(others, gens[i] + 1)[-1]:
                 del gens[i]
                 changed = True
                 break
     return gens
 
 
-def _in_semigroup_of(z, gens):
-    if not gens:
-        return z == 0
-    reachable = [False] * (z + 1)
-    reachable[0] = True
+def _reachable(gens, bound):
+    """Table of z in [0, bound) (bound >= 1): is z a sum of elements of gens?"""
+    table = [False] * bound
+    table[0] = True
     for v in gens:
-        for k in range(v, z + 1):
-            if reachable[k - v]:
-                reachable[k] = True
-    return reachable[z]
+        for k in range(v, bound):
+            if table[k - v]:
+                table[k] = True
+    return table
 
 
 def is_plane_branch_semigroup(values):

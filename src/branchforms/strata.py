@@ -236,22 +236,17 @@ def _run_once(family, task):
 def _sample_witness(family, stratum, rng, tries=60):
     """Full rational point in the stratum: sample the free parameters,
     back-substitute the solved equalities newest-first, check the
-    disequalities."""
+    constraints."""
     solved = {name for name, _ in stratum.substitutions}
     pool = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
     for _ in range(tries):
         point = {n: rng.choice(pool) for n in family.ring.names if n not in solved}
-        ok = True
-        for name, expr in reversed(stratum.substitutions):
-            try:
+        try:
+            for name, expr in reversed(stratum.substitutions):
                 point[name] = expr.eval(point)
-            except KeyError:
-                ok = False
-                break
-        if not ok or len(point) != len(family.ring.names):
+        except KeyError:
             continue
-        if all(f.eval(point) == 0 for f in stratum.equalities) and \
-                all(f.eval(point) != 0 for f in stratum.nonzero):
+        if stratum.contains(point):
             return point
     return None
 
@@ -263,8 +258,9 @@ def stratify(gamma, max_splits=60, seed=0):
     coefficients: one child per factor set to zero (earlier factors kept
     nonzero), plus a generic child with every factor nonzero.  Equalities
     that are not linear in any single parameter leave the child unresolved
-    rather than guessed.  Parametric runs return values only; each
-    resolved stratum's witness is re-checked by a concrete run.
+    rather than guessed, and so does a stratum in which no rational
+    witness is found.  Parametric runs return values only; each resolved
+    stratum's witness is re-checked by a concrete run.
     """
     family = normal_form_family(gamma)
     gamma = family.gamma
@@ -306,7 +302,11 @@ def stratify(gamma, max_splits=60, seed=0):
                           tuple(task.substitutions), lam, None, "resolved",
                           minimal_values=minimal)
         stratum.witness = _sample_witness(family, stratum, rng)
-        if stratum.witness is not None:
+        if stratum.witness is None:
+            # A Lambda is reported only with a point that confirms it.
+            stratum.lambda_set, stratum.minimal_values = None, ()
+            stratum.status = "unresolved"
+        else:
             concrete = family.member(stratum.witness)
             check = algorithm1_lambda(concrete, gamma=gamma).lambda_set
             if check != lam:

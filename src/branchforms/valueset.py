@@ -7,6 +7,7 @@ sequences, the B_i sets and max(B_i) extraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -50,7 +51,8 @@ class ValueSet:
         z = int(z)
         if z >= self.cofinal:
             return True
-        return z in set(self.elements)
+        i = bisect_left(self.elements, z)
+        return i < len(self.elements) and self.elements[i] == z
 
     def min(self):
         return self.elements[0] if self.elements else self.cofinal

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchforms import (BranchParametrization, DomainError,
+from branchforms import (BranchParametrization, DomainError, NumericalSemigroup,
                          characteristic_sequence, coordinate_ring, default_precision, nu,
                          semigroup_of, standard_basis_of_ring)
 from branchforms.series import AbovePrecision
@@ -75,6 +75,19 @@ def test_standard_basis_four_generator_tower():
     sb = standard_basis_of_ring(phi)
     assert sb.values == gamma.generators
     assert [s.order() for s in sb.pullbacks] == list(gamma.generators)
+
+
+@pytest.mark.parametrize("gens, where", [
+    # y = t^6 + t^7 has order 6, which is not in <4,7>: level 0
+    ((4, 7), "order 6 outside <v_0..v_0>"),
+    # y^2 - x^3 = 2t^13 + t^14, and 13 is not in <4,6,15>: level 1
+    ((4, 6, 15), "order 13 outside <v_0..v_1>"),
+])
+def test_tower_rejects_a_semigroup_the_branch_does_not_have(gens, where):
+    phi = BranchParametrization.plane(4, {6: 1, 7: 1})
+    assert semigroup_of(phi).generators == (4, 6, 13)
+    with pytest.raises(DomainError, match=where):
+        standard_basis_of_ring(phi, gamma=NumericalSemigroup(gens))
 
 
 def test_parametrization_repr_and_cleanup():

@@ -243,3 +243,25 @@ def test_integer_strings_are_still_integers(capsys):
     code, out = invoke(capsys, "recover-gamma", "--set",
                        '{"elements":[6,9,12,15,16,18,19,21,"22"],"cofinal":"24"}')
     assert code == 0 and out["generators"] == [6, 9, 19]
+
+
+@pytest.mark.parametrize("argv", [
+    ("recover-gamma", "--set", '{"elements":"69","cofinal":11}'),
+    ("recover-gamma", "--set", '{"elements":{"6":1,"9":1},"cofinal":11}'),
+    ("lambda", "--branch", '{"n":2,"y":["31"]}'),
+    ("lambda", "--branch", '{"n":2,"y":"31"}'),
+    ("lambda", "--branch", '{"n":2,"y":{"3":"1"}}'),
+    ("semigroup", "--branch", '{"n":2,"y":[[3,"1"]],"extra":["51"]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",["101"]],["y",[]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x","101"],["y",[]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}', "--form", '{"d":["xy"]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}', "--form", '{"d":"xy"}'),
+])
+def test_json_strings_and_objects_are_not_arrays(capsys, argv):
+    # iterating a string would read "69" as [6, 9] and "31" as the term [3, 1]
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage"
+    assert "expected an array" in out["detail"]

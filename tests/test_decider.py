@@ -3,6 +3,7 @@ import pytest
 from branchforms import (BranchParametrization, NumericalSemigroup, ValueSet,
                          algorithm1_lambda, decide, from_semigroup,
                          semigroup_of)
+from branchforms import strata
 
 L1 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 24, 25), 27)
 L2 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 23, 24, 25), 27)
@@ -74,3 +75,11 @@ def test_genuine_lambda_with_even_v0_decides_yes():
     assert d.gamma.generators == (4, 9)
     assert semigroup_of(d.witness).generators == (4, 9)
     assert algorithm1_lambda(d.witness).lambda_set == lam
+
+
+def test_no_witness_gives_unresolved(monkeypatch):
+    monkeypatch.setattr(strata, "_sample_witness", lambda *args: None)
+    lam = algorithm1_lambda(BranchParametrization.plane(6, {9: 1, 10: 1})).lambda_set
+    d = decide(lam)
+    assert (d.verdict, d.stage) == ("unresolved", "no-matching-stratum")
+    assert d.witness is None

@@ -121,3 +121,19 @@ def test_membership_agrees_with_bruteforce(gens):
                       if z + v <= bound}
     for z in range(bound + 1):
         assert (z in g) == (z in reachable)
+    # v_0 members in a row end the gaps, so the conductor is read off the table
+    v = g.generators
+    assert all(z in reachable for z in range(bound - v[0] + 1, bound + 1))
+    assert g.conductor == max((z + 1 for z in range(bound) if z not in reachable),
+                              default=0)
+    # free: n_i v_i lies in <v_0, ..., v_{i-1}> for every i >= 1
+    es = [reduce(gcd, v[:i + 1]) for i in range(len(v))]
+
+    def in_span(z, span):
+        hit = [True] + [False] * z
+        for k in range(1, z + 1):
+            hit[k] = any(k >= u and hit[k - u] for u in span)
+        return hit[z]
+
+    assert g.is_free == all(in_span(es[i - 1] // es[i] * v[i], v[:i])
+                            for i in range(1, len(v)))

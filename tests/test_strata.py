@@ -144,3 +144,14 @@ def test_one_wrong_witness_is_an_error(monkeypatch):
     monkeypatch.setattr(strata, "algorithm1_lambda", wrong_once)
     with pytest.raises(DomainError, match="witness disagrees"):
         stratify(NumericalSemigroup((2, 5)))
+
+
+def test_a_stratum_without_a_witness_is_unresolved(monkeypatch):
+    # A Lambda is reported only with a rational point that confirms it.
+    monkeypatch.setattr(strata, "_sample_witness", lambda *args: None)
+    report = stratify(NumericalSemigroup((6, 9, 19)))
+    assert report.strata
+    for s in report.strata:
+        assert s.status == "unresolved"
+        assert s.lambda_set is None and s.witness is None
+    assert report.lambdas == ()
