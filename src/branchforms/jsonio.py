@@ -20,10 +20,14 @@ def frac_to_str(q):
 
 
 def frac_from_str(s):
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational {s!r}") from exc
+    """A rational from a JSON string ("29/18") or integer; a float or a
+    boolean is rejected rather than rounded."""
+    if isinstance(s, (int, str)) and not isinstance(s, bool):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"bad rational {s!r}")
 
 
 def int_from_json(v):
@@ -147,7 +151,7 @@ def stratum_to_json(stratum):
         "status": stratum.status,
         "lambda": stratum.lambda_set.to_json() if stratum.lambda_set else None,
         "witness": ({k: frac_to_str(v) for k, v in sorted(stratum.witness.items())}
-                    if stratum.witness else None),
+                    if stratum.witness is not None else None),
     }
     if stratum.minimal_values:
         out["minimal_values"] = list(stratum.minimal_values)

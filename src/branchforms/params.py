@@ -1,4 +1,8 @@
-"""Factoring of polynomials over the rationals, through sympy.
+"""Factoring of polynomials over the rationals.
+
+Polynomials that are one irreducible factor by a linear argument (see
+`_single_factor`) are answered here; sympy is imported only for the
+polynomials that rule cannot settle.
 
 `ParamPoly` and `ParamRing` are other names of `poly.Poly` and `poly.Ring`
 (the same classes, not subclasses), kept for code that imports them from
@@ -15,16 +19,52 @@ ParamPoly = Poly
 ParamRing = Ring
 
 
+def _single_factor(p):
+    """(f,) when the non-constant p is provably a single irreducible factor
+    f up to a constant, else None.
+
+    Two shapes are recognised:
+
+    (a) p = c*x^k: the factor is x.
+    (b) No variable divides every term of p, and some variable x occurs in
+        exactly one term, to degree 1.  Then p = A*x + B with A a rational
+        times a monomial free of x and B != 0 free of x.  A common
+        irreducible factor of A and B in Q[other variables] would be a
+        variable dividing A and every term of B, that is every term of p.
+        So p has degree 1 in x and is primitive over the UFD Q[other
+        variables]; by Gauss's lemma it is irreducible, and the factor is
+        p.normalized().
+
+    Everything else (monomials in two or more variables, a monomial factor
+    times a cofactor, an x-coefficient that is not a monomial) is None.
+    """
+    exps = list(p.terms)
+    if len(exps) == 1:
+        used = [i for i, d in enumerate(exps[0]) if d]
+        return (p.ring.gen(p.ring.names[used[0]]),) if len(used) == 1 else None
+    columns = list(zip(*exps))
+    if any(all(col) for col in columns):
+        return None
+    for col in columns:
+        hits = [d for d in col if d]
+        if hits == [1]:
+            return (p.normalized(),)
+    return None
+
+
 def irreducible_factors(p):
     """Non-constant irreducible factors of p over Q, each in normalized form.
 
-    Uses sympy for the factorization; rational constant factors are dropped
-    and multiplicities collapsed.
+    Rational constant factors are dropped and multiplicities collapsed.
+    A result with several factors comes in sympy's order.
     """
-    import sympy
-
     if not p or p.is_constant():
         return ()
+    single = _single_factor(p)
+    if single is not None:
+        return single
+    import sympy
+
     symbols = {n: sympy.Symbol(n) for n in p.ring.names}
     expr = sympy.Integer(0)
     for e, c in p.terms.items():

@@ -40,11 +40,14 @@ class ConstraintOracle:
 
     Constants decide themselves; a non-constant polynomial is zero-free
     exactly when all its irreducible factors are assumed nonzero, and
-    otherwise triggers a case split.
+    otherwise triggers a case split.  `factors` memoizes
+    `irreducible_factors` by polynomial; `stratify` hands one dict to every
+    run of a single call.
     """
 
-    def __init__(self, nonzero=()):
+    def __init__(self, nonzero=(), factors=None):
         self.nonzero = frozenset(nonzero)
+        self.factors = {} if factors is None else factors
 
     def is_zero(self, c):
         if not isinstance(c, Poly):
@@ -53,7 +56,10 @@ class ConstraintOracle:
             return True
         if c.is_constant():
             return False
-        unknown = tuple(f for f in irreducible_factors(c) if f not in self.nonzero)
+        factors = self.factors.get(c)
+        if factors is None:
+            factors = self.factors[c] = irreducible_factors(c)
+        unknown = tuple(f for f in factors if f not in self.nonzero)
         if not unknown:
             return False
         raise SplitNeeded(c, unknown)
@@ -213,8 +219,9 @@ def _solve_linear(f):
     return None
 
 
-def _run_once(family, task):
-    """One complete parametric run under the task's assumptions."""
+def _run_once(family, task, factors):
+    """One complete parametric run under the task's assumptions; factors is
+    the factorization memo of the whole stratification."""
     phi = family.phi
     nonzero = list(family.base_nonzero)
     for name, expr in task.substitutions:
@@ -225,7 +232,7 @@ def _run_once(family, task):
     for f in task.nonzero:
         if f not in nonzero:
             nonzero.append(f)
-    oracle = ConstraintOracle(nonzero)
+    oracle = ConstraintOracle(nonzero, factors)
     sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle)
     entries = algorithm1_core(sb, oracle=oracle)
     lam = assemble_lambda(entries, family.gamma)
@@ -265,6 +272,7 @@ def stratify(gamma, max_splits=60, seed=0):
     family = normal_form_family(gamma)
     gamma = family.gamma
     rng = random.Random(seed)
+    factors = {}  # Poly -> irreducible factors, for this call only
 
     queue = [_Task([], [], [])]
     strata = []
@@ -278,7 +286,7 @@ def stratify(gamma, max_splits=60, seed=0):
                                   None, None, "unresolved"))
             continue
         try:
-            result = _run_once(family, task)
+            result = _run_once(family, task, factors)
         except SplitNeeded as split:
             splits += 1
             for j, f in enumerate(split.unknown):

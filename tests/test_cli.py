@@ -265,3 +265,42 @@ def test_json_strings_and_objects_are_not_arrays(capsys, argv):
     assert code == 2
     assert out["error"] == "usage"
     assert "expected an array" in out["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    # 1.0000000000000001 is the double 1.0: a float coefficient would be rounded
+    ("lambda", "--branch", '{"n":2,"y":[[3,1.0000000000000001]]}'),
+    ("lambda", "--branch", '{"n":2,"y":[[3,0.5]]}'),
+    ("lambda", "--branch", '{"n":2,"y":[[3,true]]}'),
+    ("semigroup", "--branch", '{"n":2,"y":[[3,"1"]],"extra":[[[5,2.5]]]}'),
+    ("semigroup", "--branch", '{"n":2,"y":[[3,"1"]],"extra":[[[5,false]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[[1,0,0.5]]],["y",[]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[[1,0,true]]],["y",[]]]}'),
+])
+def test_float_and_boolean_coefficients_are_usage_errors(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage"
+    assert "bad rational" in out["detail"]
+
+
+def test_integer_and_string_coefficients_are_read_exactly(capsys):
+    code, out = invoke(capsys, "lambda", "--branch", '{"n":2,"y":[[3,1]]}')
+    assert code == 0 and out["gamma"] == [2, 3]
+    code, out = invoke(capsys, "eval-form",
+                       "--branch", '{"n":6,"y":[[14,"1"],[17,"1"]],"extra":[[[39,-1]]]}',
+                       "--form", '{"d":[["x",[[0,1,0,"-7"]]],["y",[[1,0,0,"3"]]],["z",[]]]}')
+    assert code == 0 and out == {"value": 23}
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", '{"d":[["x",[[1,0,2]]],["y",[[0,0,"-1/3"]]]]}')
+    assert code == 0 and out == {"value": 3}  # (4t^3 - t^2) dt
+
+
+@pytest.mark.parametrize("gens", ["1", "2,3", "3,4", "3,5"])
+def test_parameter_free_classes_report_the_empty_witness(capsys, gens):
+    # the family has no parameters, so the empty point is the witness
+    code, out = invoke(capsys, "stratify", "--gens", gens)
+    assert code == 0
+    assert [(s["status"], s["witness"]) for s in out] == [("resolved", {})]

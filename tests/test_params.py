@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branchforms import ParamPoly, ParamRing
-from branchforms.params import irreducible_factors
+from branchforms import NumericalSemigroup, ParamPoly, ParamRing, normal_form_family
+from branchforms.params import _single_factor, irreducible_factors
+from branchforms.poly import Poly, Ring
 
 
 def ring():
@@ -131,3 +135,140 @@ def test_content_and_normalized_on_mixed_coefficients():
     assert (-p).normalized() == n
     facs = irreducible_factors((2 * a + 1) * (a - b))
     assert all(type(c) is int for f in facs for c in f.terms.values())
+
+
+# -- agreement with sympy ------------------------------------------------------
+
+
+def sympy_factors(p):
+    """Reference: the non-constant factors of sympy.factor_list, normalized,
+    in sympy's order."""
+    symbols = [sympy.Symbol(n) for n in p.ring.names]
+    expr = sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s ** d for s, d in zip(symbols, e)])
+                       for e, c in p.terms.items()])
+    out = []
+    for fac, _mult in sympy.factor_list(expr)[1]:
+        terms = {tuple(int(m) for m in monom): Fraction(int(c.p), int(c.q))
+                 for monom, c in sympy.Poly(fac, *symbols).terms()}
+        q = Poly(p.ring, terms).normalized()
+        if not q.is_constant():
+            out.append(q)
+    return tuple(out)
+
+
+XYZ = Ring(("x", "y", "z"))
+coeffs = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+# exponents of the two variables other than the chosen one
+others = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def monomial(i, d, rest):
+    """Exponent tuple with degree d in variable i and rest in the others."""
+    e = list(rest)
+    e.insert(i, d)
+    return tuple(e)
+
+
+@st.composite
+def shape_a(draw):
+    """c*x^k."""
+    e = [0, 0, 0]
+    e[draw(st.integers(0, 2))] = draw(st.integers(1, 5))
+    return Poly(XYZ, {tuple(e): draw(coeffs)})
+
+
+@st.composite
+def shape_b(draw):
+    """A*x + B: x in one term to degree 1, no variable in every term."""
+    i = draw(st.integers(0, 2))
+    terms = {monomial(i, 0, r): draw(coeffs)
+             for r in draw(st.lists(others, min_size=1, max_size=4))}
+    terms[monomial(i, 1, draw(others))] = draw(coeffs)
+    p = Poly(XYZ, terms)
+    if any(all(col) for col in zip(*terms)):
+        p = p + 1  # a constant term: no variable divides every term
+    return p
+
+
+@st.composite
+def two_variable_monomial(draw):
+    e = [draw(st.integers(1, 3)) for _ in range(3)]
+    e[draw(st.integers(0, 2))] = 0
+    return Poly(XYZ, {tuple(e): draw(coeffs)})
+
+
+@st.composite
+def monomial_times_cofactor(draw):
+    """A variable times a non-constant cofactor."""
+    return XYZ.gen(XYZ.names[draw(st.integers(0, 2))]) * draw(shape_b())
+
+
+@st.composite
+def non_monomial_x_coefficient(draw):
+    """A*x + B with A of at least two terms; the other variables never
+    occur to degree 1, so no variable is linear in a single term."""
+    i = draw(st.integers(0, 2))
+    rests = st.tuples(st.sampled_from((0, 2, 3)), st.sampled_from((0, 2, 3)))
+    a = draw(st.lists(rests, min_size=2, max_size=3, unique=True))
+    b = draw(st.lists(rests, max_size=3, unique=True))
+    terms = {monomial(i, 1, r): draw(coeffs) for r in a}
+    terms.update({monomial(i, 0, r): draw(coeffs) for r in b})
+    return Poly(XYZ, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape_a() | shape_b())
+def test_single_factor_shapes_agree_with_sympy(p):
+    assert _single_factor(p) is not None
+    assert irreducible_factors(p) == sympy_factors(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_variable_monomial() | monomial_times_cofactor()
+       | non_monomial_x_coefficient())
+def test_other_shapes_reach_sympy_and_keep_its_order(p):
+    assert _single_factor(p) is None
+    assert irreducible_factors(p) == sympy_factors(p)
+
+
+def test_polynomials_of_the_6_13_class_that_need_sympy():
+    """The five distinct coefficients of stratify(<6,13>) that the linear
+    rule leaves to sympy, with the factors sympy gives, in its order."""
+    R = normal_form_family(NumericalSemigroup((6, 13))).ring
+    g = {n: R.gen(n) for n in R.names}
+    a14, a15, a16, a17 = g["a14"], g["a15"], g["a16"], g["a17"]
+    a21, a22, a23, a27, a28, a29, a35 = (g[n] for n in (
+        "a21", "a22", "a23", "a27", "a28", "a29", "a35"))
+    F = Fraction
+    cases = [
+        (-249444 * a14**6 + 644904 * a14**4 * a15 + 146016 * a14**3 * a16
+         - 620568 * a14**2 * a15**2 + 657072 * a14**2 * a17
+         - 1654848 * a14 * a15 * a16 + 997776 * a15**3 - 632736 * a15 * a17
+         + 711828 * a16**2,
+         ["41*a14^6 - 106*a14^4*a15 - 24*a14^3*a16 + 102*a14^2*a15^2"
+          " - 108*a14^2*a17 + 272*a14*a15*a16 - 164*a15^3 + 104*a15*a17"
+          " - 117*a16^2"]),
+        (F(2507984833, 77228944) * a14**10 + 12744 * a14**2 * a21
+         - 4212 * a14 * a22,
+         ["a14", "2507984833*a14^9 + 984205662336*a14*a21 - 325288312128*a22"]),
+        (F(578163053107, 4517893224) * a14**11 + F(378852, 13) * a14**3 * a21
+         - 4680 * a14 * a23,
+         ["a14", "578163053107*a14^10 + 131662529515296*a14^2*a21"
+                 " - 21143740288320*a23"]),
+        (F(-513276683287051739, 48460017054760480) * a14**18
+         - F(333057673944, 313742585) * a14**10 * a21
+         + F(20808576, 169) * a14**4 * a27 - F(1083456, 13) * a14**3 * a28
+         - F(487296, 13) * a14**2 * a21**2 + 20736 * a14**2 * a29,
+         ["a14", "513276683287051739*a14^16 + 51443384899582870272*a14^8*a21"
+                 " - 5966768922161417809920*a14^2*a27"
+                 " + 4038792018314043893760*a14*a28"
+                 " + 1816490190055120220160*a21^2"
+                 " - 1004866913647513313280*a29"]),
+        (-144144 * a27 * a35, ["a27", "a35"]),
+    ]
+    for p, expected in cases:
+        assert _single_factor(p) is None
+        factors = irreducible_factors(p)
+        assert [str(f) for f in factors] == expected
+        assert factors == sympy_factors(p)

@@ -1,5 +1,9 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -155,3 +159,57 @@ def test_a_stratum_without_a_witness_is_unresolved(monkeypatch):
         assert s.status == "unresolved"
         assert s.lambda_set is None and s.witness is None
     assert report.lambdas == ()
+
+
+# Runs in a fresh interpreter in which `import sympy` fails.
+WITHOUT_SYMPY = """
+import json, sys
+sys.modules["sympy"] = None
+from branchforms import NumericalSemigroup, stratify
+from branchforms.decider import decide
+from branchforms.jsonio import decision_to_json, report_to_json
+L4 = [6, 9, 12, 15, 16, 18, 19, 21, 22, 24, 25]
+out = {"5-7": report_to_json(stratify(NumericalSemigroup((5, 7)))),
+       "7-9": report_to_json(stratify(NumericalSemigroup((7, 9)))),
+       "L4": decision_to_json(decide(L4 + [27]))}
+try:
+    stratify(NumericalSemigroup((6, 13)))
+    out["6-13"] = "finished"
+except ImportError:
+    out["6-13"] = "needs sympy"
+print(json.dumps(out))
+"""
+
+
+def test_linear_classes_stratify_and_decide_without_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strata.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    for name in ("5-7", "7-9"):
+        with open(os.path.join(data, f"stratify-{name}.json"), encoding="utf-8") as fh:
+            assert out[name] == json.load(fh)
+    assert (out["L4"]["verdict"], out["L4"]["stage"]) == ("yes", "matched")
+    assert out["L4"]["gamma"] == [6, 9, 19]
+    assert out["6-13"] == "needs sympy"
+
+
+def test_each_polynomial_is_factored_once_per_stratify_call(monkeypatch):
+    real = strata.irreducible_factors
+    seen = []
+
+    def counted(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(strata, "irreducible_factors", counted)
+    stratify(NumericalSemigroup((6, 13)))
+    assert len(seen) == len(set(seen)) == 36
+    stratify(NumericalSemigroup((6, 13)))  # the memo does not outlive a call
+    assert len(seen) == 72
+    assert {str(p) for p in seen[36:]} == {str(p) for p in seen[:36]}
