@@ -249,8 +249,7 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
         # coefficient vanishes, so only the coefficient at the target
         # itself ever needs the oracle.
         for o in range(target):
-            c = h[0].coeffs[o]
-            if not c:
+            if not h[0].coeffs[o]:
                 continue
             member, s = gamma.membership(o)
             if not member:
@@ -258,7 +257,7 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
             prod = cache.product(s)
             plead = prod[0].leading()
             assert not isinstance(plead, AbovePrecision) and plead[0] == o
-            h = _cancel(h, c, prod, plead[1])
+            h = _cancel(h, h[0].coeff(o), prod, plead[1])
         if is_zero(h[0].coeffs[target]):
             raise DomainError(f"semiroot pullback vanished at target value {target}")
         basis.append(h)

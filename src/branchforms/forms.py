@@ -231,7 +231,6 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
             o += 1
         if o >= bound:
             return None
-        c = pull.coeffs[o]
         value = o + 1
         reducer = None
         for entry in entries:
@@ -243,7 +242,7 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
                 reducer = (entry, s)
                 break
         if reducer is None:
-            if is_zero is not None and is_zero(c):
+            if is_zero is not None and is_zero(pull.coeffs[o]):
                 o += 1
                 continue
             return _entry(elem, value)
@@ -251,7 +250,7 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
         red = _times(cache.product(delta), entry)
         rlead = red[0].leading()
         assert not isinstance(rlead, AbovePrecision) and rlead[0] == o
-        elem = _cancel(elem, c, red, rlead[1])
+        elem = _cancel(elem, pull.coeff(o), red, rlead[1])
         o += 1
 
 

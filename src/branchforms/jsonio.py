@@ -21,7 +21,11 @@ def frac_to_str(q):
 
 def frac_from_str(s):
     """A rational from a JSON string ("29/18") or integer; a float or a
-    boolean is rejected rather than rounded."""
+    boolean is rejected rather than rounded.  A string with a decimal
+    exponent ("1e300000") is rejected too: Fraction would expand it into
+    an integer of that many digits."""
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValidationError(f"bad rational {s!r}: exponent notation")
     if isinstance(s, (int, str)) and not isinstance(s, bool):
         try:
             return Fraction(s)

@@ -1,15 +1,26 @@
 """Exact truncated power series in one local parameter t.
 
 A series stores all coefficients for exponents 0..precision-1; everything
-from t^precision on is unknown.  Coefficients are exact: rationals in
-concrete mode or `poly.Poly`s in the family parameters when computing over
-a family.  Zero tests here are syntactic; a parametric run decides the
-vanishing of a coefficient through its constraint oracle instead.
+from t^precision on is unknown.  Coefficients are exact and held as
+numerators over one positive integer denominator per series: rationals in
+concrete mode are lifted to int numerators over the lcm of their
+denominators, and `poly.Poly` numerators in the family parameters keep
+denominator 1 when computing over a family.  A product multiplies the two
+denominators, a sum brings both to their lcm and divides out the common
+factor, and scaling by p/q multiplies the numerators by p and the
+denominator by q.  So a concrete Lambda run does int arithmetic per
+coefficient and touches a Fraction only for the one scalar of each
+cancel step; `coeff(i)` and `leading()` give the true values.
+
+Zero tests here are syntactic and read the numerators; a parametric run
+decides the vanishing of a coefficient through its constraint oracle
+instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PrecisionError
 
@@ -36,15 +47,22 @@ class AbovePrecision:
 
 
 class TruncatedSeries:
-    __slots__ = ("coeffs", "precision")
+    """Numerators coeffs[0..precision-1] over one positive integer den.
 
-    def __init__(self, coeffs, precision):
+    The coefficient of t^i is coeffs[i] / den (`coeff(i)`); a numerator is
+    zero exactly when its coefficient is, so zero tests read coeffs.
+    """
+
+    __slots__ = ("coeffs", "den", "precision")
+
+    def __init__(self, coeffs, precision, den=1):
         coeffs = tuple(coeffs)
         if len(coeffs) != precision:
             raise ValueError("coefficient list does not match precision")
         if precision < 1:
             raise ValueError("precision must be positive")
         self.coeffs = coeffs
+        self.den = den
         self.precision = precision
 
     # -- constructors ------------------------------------------------------
@@ -55,14 +73,22 @@ class TruncatedSeries:
 
     @staticmethod
     def from_terms(terms, precision):
-        """terms: iterable of (exponent, coefficient); exponents >= precision drop."""
+        """terms: iterable of (exponent, coefficient); exponents >= precision
+        drop.  Rational coefficients are lifted to integer numerators over
+        the lcm of their denominators; polynomial ones keep den 1."""
         coeffs = [0] * precision
         for e, c in terms:
             if e < 0:
                 raise ValueError("negative exponent")
             if e < precision:
                 coeffs[e] = coeffs[e] + c
-        return TruncatedSeries(coeffs, precision)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            return TruncatedSeries(coeffs, precision)
+        den = 1
+        for c in coeffs:
+            den = lcm(den, c.denominator)
+        return TruncatedSeries(
+            [c.numerator * (den // c.denominator) for c in coeffs], precision, den)
 
     @staticmethod
     def monomial(exponent, coefficient, precision):
@@ -70,18 +96,48 @@ class TruncatedSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators, with
+        the common factor of the new denominator and numerators divided out."""
         p = min(self.precision, other.precision)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(p)], p)
+        a, b = self.coeffs[:p], other.coeffs[:p]
+        da, db = self.den, other.den
+        den = da
+        if da != db:
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            if ma != 1:
+                a = [c * ma for c in a]
+            if mb != 1:
+                b = [c * mb for c in b]
+        if sign > 0:
+            out = [x + y for x, y in zip(a, b)]
+        else:
+            out = [x - y for x, y in zip(a, b)]
+        if den != 1:
+            g = den
+            try:
+                for c in out:
+                    if c:
+                        g = gcd(g, c)
+                        if g == 1:
+                            break
+            except TypeError:
+                g = 1       # polynomial numerators: no integer content
+            if g != 1:
+                den //= g
+                out = [c // g for c in out]
+        return TruncatedSeries(out, p, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        p = min(self.precision, other.precision)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(p)], p)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries([-c if c else 0 for c in self.coeffs], self.precision)
+        return TruncatedSeries([-c if c else 0 for c in self.coeffs], self.precision,
+                               self.den)
 
     def __mul__(self, other):
         # Both operands have order >= 0, so min precision is safe.
@@ -93,24 +149,29 @@ class TruncatedSeries:
             for j, b in enumerate(other.coeffs[: p - i]):
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, p)
+        return TruncatedSeries(out, p, self.den * other.den)
 
     def scale(self, c):
         if not c:
             return TruncatedSeries.zero(self.precision)
-        return TruncatedSeries([c * a if a else 0 for a in self.coeffs], self.precision)
+        den = self.den
+        if isinstance(c, Fraction):
+            den *= c.denominator
+            c = c.numerator
+        return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
+                               self.precision, den)
 
     def shift(self, k):
         """Multiply by t^k."""
         if k == 0:
             return self
         return TruncatedSeries((0,) * k + self.coeffs[: self.precision - k],
-                               self.precision)
+                               self.precision, self.den)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = TruncatedSeries.monomial(0, Fraction(1), self.precision)
+        result = TruncatedSeries.monomial(0, 1, self.precision)
         base = self
         while k:
             if k & 1:
@@ -126,43 +187,53 @@ class TruncatedSeries:
         return TruncatedSeries(
             [(i + 1) * self.coeffs[i + 1] if self.coeffs[i + 1] else 0
              for i in range(self.precision - 1)],
-            self.precision - 1)
+            self.precision - 1, self.den)
+
+    def coeff(self, i):
+        """The true coefficient of t^i."""
+        c, den = self.coeffs[i], self.den
+        if den == 1:
+            return c
+        return Fraction(c, den) if isinstance(c, int) else c / den
 
     # -- order ----------------------------------------------------------------
 
     def leading(self):
         """(exponent, coefficient) of the lowest nonzero term, or AbovePrecision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i, c
-        return AbovePrecision(self.precision)
+        o = self.order()
+        if isinstance(o, AbovePrecision):
+            return o
+        return o, self.coeff(o)
 
     def order(self):
-        lead = self.leading()
-        if isinstance(lead, AbovePrecision):
-            return lead
-        return lead[0]
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return AbovePrecision(self.precision)
 
     # -- misc -------------------------------------------------------------------
 
     def truncate(self, precision):
         if precision >= self.precision:
             return self
-        return TruncatedSeries(self.coeffs[:precision], precision)
+        return TruncatedSeries(self.coeffs[:precision], precision, self.den)
 
     def map_coeffs(self, fn):
+        """Apply a ring homomorphism fn (one that fixes the integers, such
+        as evaluation at a point) to every coefficient."""
         return TruncatedSeries([fn(c) if c else 0 for c in self.coeffs],
-                               self.precision)
+                               self.precision, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.precision != other.precision:
             return False
-        return all((a - b) == 0 if (a or b) else True
+        da, db = self.den, other.den
+        return all((a * db - b * da) == 0 if (a or b) else True
                    for a, b in zip(self.coeffs, other.coeffs))
 
     def __repr__(self):
-        parts = [f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c]
+        parts = [f"{self.coeff(i)}*t^{i}" for i, c in enumerate(self.coeffs) if c]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(t^{self.precision})>"

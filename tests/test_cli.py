@@ -286,6 +286,20 @@ def test_float_and_boolean_coefficients_are_usage_errors(capsys, argv):
     assert "bad rational" in out["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--branch", '{"n":2,"y":[[3,"1e300000"]]}'),
+    ("lambda", "--branch", '{"n":2,"y":[[3,"1"],[4,"2E-5"]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[[1,0,"3e300000"]]],["y",[]]]}'),
+])
+def test_exponent_notation_coefficients_are_usage_errors(capsys, argv):
+    # Fraction("1e999999999") would spend hours building a 10^9-digit integer
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage"
+    assert "exponent notation" in out["detail"]
+
+
 def test_integer_and_string_coefficients_are_read_exactly(capsys):
     code, out = invoke(capsys, "lambda", "--branch", '{"n":2,"y":[[3,1]]}')
     assert code == 0 and out["gamma"] == [2, 3]

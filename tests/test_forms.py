@@ -11,8 +11,8 @@ from branchforms import (BranchParametrization, DomainError,
                          normal_form_family, pullback_form, semigroup_of,
                          standard_basis_of_ring, stratify)
 from branchforms.forms import algorithm1_core, assemble_lambda
-from branchforms.series import AbovePrecision
-from branchforms.strata import ConstraintOracle
+from branchforms.series import AbovePrecision, TruncatedSeries
+from branchforms.strata import ConstraintOracle, _run_once, _Task
 
 X, Y = coordinate_ring(2).gens()
 
@@ -201,3 +201,36 @@ def test_parametric_entries_carry_no_forms():
     entries = algorithm1_core(sb, oracle=oracle)
     assert entries and all(e.form is None for e in entries)
     assert assemble_lambda(entries, rep.gamma) == generic.lambda_set
+
+
+def test_concrete_series_hold_integer_numerators():
+    # a concrete run does int arithmetic per coefficient: rational tails
+    # live in the one denominator of each series
+    phi = BranchParametrization.plane(
+        6, {9: 1, 10: 1, 11: Fraction(-1, 2), 17: Fraction(1, 38)})
+    sb = standard_basis_of_ring(phi)
+    basis = algorithm1_lambda(phi)
+    pulls = list(sb.pullbacks) + [e.pull for e in basis.entries]
+    assert any(s.den > 1 for s in pulls)
+    for s in pulls:
+        assert type(s.den) is int and s.den > 0
+        assert all(type(c) is int for c in s.coeffs)
+
+
+def test_parametric_runs_keep_denominator_one(monkeypatch):
+    # parametric numerators are polynomials; their series never take a
+    # denominator, so the oracle reads the true coefficients
+    rep = stratify(NumericalSemigroup((6, 9, 19)))
+    dens = set()
+    init = TruncatedSeries.__init__
+
+    def recording_init(self, coeffs, precision, den=1):
+        init(self, coeffs, precision, den)
+        dens.add(self.den)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
+    for s in rep.strata:
+        task = _Task(list(s.substitutions), list(s.equalities), list(s.nonzero))
+        lam, _minimal, _nonzero = _run_once(rep.family, task, {})
+        assert lam == s.lambda_set
+    assert dens == {1}

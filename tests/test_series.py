@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchforms import AbovePrecision, PrecisionError, TruncatedSeries
+from branchforms import AbovePrecision, PrecisionError, Ring, TruncatedSeries
 
 
 def series(terms, precision=20):
@@ -86,3 +86,79 @@ def test_leibniz_rule(a, b):
     lhs = (sa * sb).derivative()
     rhs = sa.derivative() * sb.truncate(p - 1) + sa.truncate(p - 1) * sb.derivative()
     assert lhs == rhs
+
+
+# -- numerators over one denominator, against a list-of-Fraction reference ---
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+value_lists = st.lists(fracs, min_size=1, max_size=8)
+
+
+def values(s):
+    assert type(s.den) is int and s.den > 0
+    return [s.coeff(i) for i in range(s.precision)]
+
+
+def lifted(vals):
+    s = TruncatedSeries.from_terms(enumerate(vals), len(vals))
+    assert all(type(c) is int for c in s.coeffs)
+    return s
+
+
+def ref_mul(a, b):
+    p = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_lists, value_lists, fracs, st.integers(-7, 7))
+def test_series_arithmetic_matches_fraction_reference(a, b, q, k):
+    sa, sb = lifted(a), lifted(b)
+    p = min(len(a), len(b))
+    assert values(sa) == a and values(sb) == b
+    assert values(sa + sb) == [x + y for x, y in zip(a, b)]
+    assert values(sa - sb) == [x - y for x, y in zip(a, b)]
+    assert values(sa * sb) == ref_mul(a, b)
+    assert values(sa.scale(q)) == [q * x for x in a]
+    assert values(sa.scale(k)) == [k * x for x in a]
+    assert values(-sa) == [-x for x in a]
+    if len(a) > 1:
+        assert values(sa.derivative()) == [(i + 1) * a[i + 1] for i in range(len(a) - 1)]
+    ref = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for e in range(4):
+        assert values(sa ** e) == ref
+        ref = ref_mul(ref, a)
+    nonzero = [(i, x) for i, x in enumerate(a) if x]
+    if nonzero:
+        assert sa.leading() == nonzero[0]
+        assert sa.order() == nonzero[0][0]
+    else:
+        assert sa.leading() == AbovePrecision(len(a))
+    assert (sa.truncate(p) == sb.truncate(p)) == (a[:p] == b[:p])
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_lists, st.integers(2, 30))
+def test_equal_series_with_different_denominators_compare_equal(a, m):
+    s = lifted(a)
+    wide = TruncatedSeries([c * m for c in s.coeffs], s.precision, s.den * m)
+    assert wide.den != s.den
+    assert wide == s and s == wide
+    assert values(wide) == values(s)
+    assert repr(wide) == repr(s)
+    # sums reduce the common factor of numerators and denominator again
+    assert (wide + TruncatedSeries.zero(s.precision)).den == s.den
+
+
+def test_polynomial_numerators_over_a_denominator():
+    # the public API lets a series of Polys take a rational scalar: no
+    # integer content to divide out, and coeff divides the Poly instead
+    a = Ring(("a",)).gen("a")
+    s = TruncatedSeries.from_terms([(1, a), (2, 3 * a)], 4)
+    assert s.den == 1
+    half = s.scale(Fraction(1, 2))
+    assert half.den == 2 and half.coeff(1) == a / 2
+    total = half + s.scale(Fraction(1, 3))
+    assert total.den == 6
+    assert total.coeff(1) == a * Fraction(5, 6) and total.coeff(2) == a * Fraction(5, 2)
+    assert total == s.scale(Fraction(5, 6))
