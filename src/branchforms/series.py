@@ -135,10 +135,6 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __neg__(self):
-        return TruncatedSeries([-c if c else 0 for c in self.coeffs], self.precision,
-                               self.den)
-
     def __mul__(self, other):
         # Both operands have order >= 0, so min precision is safe.
         p = min(self.precision, other.precision)
@@ -160,13 +156,6 @@ class TruncatedSeries:
             c = c.numerator
         return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
                                self.precision, den)
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        if k == 0:
-            return self
-        return TruncatedSeries((0,) * k + self.coeffs[: self.precision - k],
-                               self.precision, self.den)
 
     def __pow__(self, k):
         if k < 0:

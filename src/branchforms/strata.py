@@ -5,12 +5,16 @@ A normal-form family (t^{v0}, t^{v1} + sum a_i t^i) carries every analytic
 type with a fixed value semigroup.  Running the standard-basis completion
 with polynomial coefficients hits leading coefficients whose vanishing
 depends on the parameters; each such coefficient splits the parameter
-space into a vanishing locus and its complement.  The leaves of the split
-tree are the strata, each with one value set Lambda and a rational witness.
+space into a vanishing locus and its complement.  A run goes on as the
+complement (the generic child) and records the split; each vanishing
+child runs again from the ring basis with its equality substituted.  The
+leaves of the split tree are the strata, each with one value set Lambda
+and a rational witness.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,28 +29,23 @@ from .semigroup import (NumericalSemigroup, characteristic_from_semigroup,
 from .valueset import ValueSet
 
 
-class SplitNeeded(Exception):
-    """A leading coefficient is a non-constant polynomial whose vanishing is
-    not decided by the current disequality assumptions."""
-
-    def __init__(self, coeff, unknown):
-        super().__init__(f"undecidable coefficient {coeff}")
-        self.coeff = coeff
-        self.unknown = unknown  # normalized irreducible factors, tuple
-
-
 class ConstraintOracle:
     """Zero test for series coefficients under nonzero-assumptions.
 
     Constants decide themselves; a non-constant polynomial is zero-free
-    exactly when all its irreducible factors are assumed nonzero, and
-    otherwise triggers a case split.  `factors` memoizes
-    `irreducible_factors` by polynomial; `stratify` hands one dict to every
-    run of a single call.
+    exactly when all its irreducible factors are assumed nonzero.  A
+    coefficient with factors not yet assumed is a case split: the oracle
+    appends those factors to its ordered `nonzero` list, records their
+    tuple in `splits` and answers "nonzero", so the run goes on as the
+    generic child of the split.  That is what a rerun of the generic child
+    would do: its assumptions contain the parent's, so every earlier zero
+    test comes out the same.  `factors` memoizes `irreducible_factors` by
+    polynomial; `stratify` hands one dict to every run of a single call.
     """
 
     def __init__(self, nonzero=(), factors=None):
-        self.nonzero = frozenset(nonzero)
+        self.nonzero = list(nonzero)
+        self.splits = []
         self.factors = {} if factors is None else factors
 
     def is_zero(self, c):
@@ -60,9 +59,10 @@ class ConstraintOracle:
         if factors is None:
             factors = self.factors[c] = irreducible_factors(c)
         unknown = tuple(f for f in factors if f not in self.nonzero)
-        if not unknown:
-            return False
-        raise SplitNeeded(c, unknown)
+        if unknown:
+            self.nonzero.extend(unknown)
+            self.splits.append(unknown)
+        return False
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,6 @@ class _Task:
     substitutions: list
     equalities: list
     nonzero: list            # Poly assumptions, current coordinates
-    status: str = "pending"  # pending | unresolved
 
 
 def _subs_coeff(c, name, expr):
@@ -220,14 +219,19 @@ def _solve_linear(f):
 
 
 def _run_once(family, task, factors):
-    """One complete parametric run under the task's assumptions; factors is
-    the factorization memo of the whole stratification."""
+    """One complete parametric run under the task's assumptions, going on
+    as the generic child of every split it meets; factors is the
+    factorization memo of the whole stratification.
+
+    Returns (splits, result): the unknown factors of each split in the
+    order met, and (Lambda, minimal values, final nonzero assumptions), or
+    ((), None) when an assumption becomes zero (the branch is empty)."""
     phi = family.phi
     nonzero = list(family.base_nonzero)
     for name, expr in task.substitutions:
         applied = _apply_substitution(phi, nonzero, name, expr)
         if applied is None:
-            return None
+            return (), None
         phi, nonzero = applied
     for f in task.nonzero:
         if f not in nonzero:
@@ -237,7 +241,7 @@ def _run_once(family, task, factors):
     entries = algorithm1_core(sb, oracle=oracle)
     lam = assemble_lambda(entries, family.gamma)
     minimal = tuple(sorted(e.value for e in entries if e.minimal))
-    return lam, minimal, tuple(nonzero)
+    return tuple(oracle.splits), (lam, minimal, tuple(oracle.nonzero))
 
 
 def _sample_witness(family, stratum, rng, tries=60):
@@ -258,69 +262,86 @@ def _sample_witness(family, stratum, rng, tries=60):
     return None
 
 
+def _unresolved(task):
+    return Stratum(tuple(task.equalities), tuple(task.nonzero),
+                   tuple(task.substitutions), None, None, "unresolved")
+
+
 def stratify(gamma, max_splits=60, seed=0):
     """Partition the normal-form family of gamma into strata, one Lambda each.
 
     Splits happen on irreducible factors of undecidable leading
     coefficients: one child per factor set to zero (earlier factors kept
-    nonzero), plus a generic child with every factor nonzero.  Equalities
-    that are not linear in any single parameter leave the child unresolved
-    rather than guessed, and so does a stratum in which no rational
-    witness is found.  Parametric runs return values only; each resolved
-    stratum's witness is re-checked by a concrete run.
+    nonzero), plus a generic child with every factor nonzero.  A run goes
+    on as the generic child of each split it meets, so only the equality
+    children run again, from the ring basis with their substitution.
+    Equalities that are not linear in any single parameter leave the child
+    unresolved rather than guessed, and so does a stratum in which no
+    rational witness is found.
+
+    The split budget counts splits and is checked when a task is taken up:
+    once more than max_splits splits have been met, every task still
+    waiting becomes an unresolved stratum, but a run already under way
+    finishes its generic chain.  Tasks are taken up, and strata listed, in
+    breadth-first order of the split tree: by depth, then by the path of
+    child indices, the generic child last among its siblings.  Parametric
+    runs return values only; each resolved stratum's witness is then drawn
+    in that order and re-checked by a concrete run.
     """
     family = normal_form_family(gamma)
     gamma = family.gamma
     rng = random.Random(seed)
     factors = {}  # Poly -> irreducible factors, for this call only
 
-    queue = [_Task([], [], [])]
-    strata = []
+    tasks = [(0, (), _Task([], [], []))]   # heap of (depth, path, task)
+    leaves = []                            # (depth, path, Stratum)
     splits = 0
-    while queue:
-        task = queue.pop(0)
-        if task.status == "unresolved" or splits > max_splits:
-            strata.append(Stratum(tuple(task.equalities),
-                                  tuple(task.nonzero),
-                                  tuple(task.substitutions),
-                                  None, None, "unresolved"))
+    while tasks:
+        _depth, path, task = heapq.heappop(tasks)
+        if splits > max_splits:
+            leaves.append((len(path), path, _unresolved(task)))
             continue
-        try:
-            result = _run_once(family, task, factors)
-        except SplitNeeded as split:
-            splits += 1
-            for j, f in enumerate(split.unknown):
+        met, result = _run_once(family, task, factors)
+        splits += len(met)
+        nonzero = list(task.nonzero)
+        for unknown in met:
+            for j, f in enumerate(unknown):
                 child = _Task(list(task.substitutions),
                               task.equalities + [f],
-                              task.nonzero + list(split.unknown[:j]))
+                              nonzero + list(unknown[:j]))
+                key = (len(path) + 1, path + (j,))
                 solved = _solve_linear(f)
                 if solved is None:
-                    child.status = "unresolved"
+                    leaves.append((*key, _unresolved(child)))
                 else:
                     child.substitutions.append(solved)
-                queue.append(child)
-            queue.append(_Task(list(task.substitutions),
-                               list(task.equalities),
-                               task.nonzero + list(split.unknown)))
-            continue
+                    heapq.heappush(tasks, (*key, child))
+            nonzero += unknown
+            path += (len(unknown),)
         if result is None:
             continue  # contradictory branch: an assumption became zero
         lam, minimal, nonzero_final = result
-        stratum = Stratum(tuple(task.equalities), nonzero_final,
-                          tuple(task.substitutions), lam, None, "resolved",
-                          minimal_values=minimal)
+        leaves.append((len(path), path,
+                       Stratum(tuple(task.equalities), nonzero_final,
+                               tuple(task.substitutions), lam, None,
+                               "resolved", minimal_values=minimal)))
+
+    leaves.sort(key=lambda leaf: leaf[:2])
+    strata = tuple(stratum for _depth, _path, stratum in leaves)
+    for stratum in strata:
+        if stratum.status != "resolved":
+            continue
         stratum.witness = _sample_witness(family, stratum, rng)
         if stratum.witness is None:
             # A Lambda is reported only with a point that confirms it.
             stratum.lambda_set, stratum.minimal_values = None, ()
             stratum.status = "unresolved"
-        else:
-            concrete = family.member(stratum.witness)
-            check = algorithm1_lambda(concrete, gamma=gamma).lambda_set
-            if check != lam:
-                raise DomainError(
-                    f"stratum witness disagrees with the parametric run: "
-                    f"{check} vs {lam}")
-        strata.append(stratum)
+            continue
+        concrete = family.member(stratum.witness)
+        check = algorithm1_lambda(concrete, gamma=gamma).lambda_set
+        if check != stratum.lambda_set:
+            raise DomainError(
+                f"stratum witness disagrees with the parametric run: "
+                f"{check} vs {stratum.lambda_set}")
 
-    return StratificationReport(gamma, family, tuple(strata))
+    return StratificationReport(gamma, family, strata)

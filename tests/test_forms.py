@@ -231,6 +231,6 @@ def test_parametric_runs_keep_denominator_one(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
     for s in rep.strata:
         task = _Task(list(s.substitutions), list(s.equalities), list(s.nonzero))
-        lam, _minimal, _nonzero = _run_once(rep.family, task, {})
-        assert lam == s.lambda_set
+        splits, (lam, _minimal, _nonzero) = _run_once(rep.family, task, {})
+        assert splits == () and lam == s.lambda_set
     assert dens == {1}

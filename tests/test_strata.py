@@ -114,9 +114,41 @@ def test_4_6_13_matches_random_members():
     assert observed == set(rep.lambdas)
 
 
-def test_split_budget_reports_unresolved():
-    rep = stratify(NumericalSemigroup((6, 9, 19)), max_splits=0)
-    assert any(s.status == "unresolved" for s in rep.strata)
+def test_split_budget_reports_unresolved(report_6919):
+    # A run under way finishes its generic chain; tasks taken up after the
+    # budget is spent become unresolved. What is resolved is still exact.
+    def key(s):  # each call has its own parameter ring: compare by text
+        return (tuple(map(str, s.equalities)), tuple(map(str, s.nonzero)),
+                s.lambda_set)
+
+    full = {key(s) for s in report_6919.strata}
+    for max_splits in (0, 1, 2):
+        rep = stratify(NumericalSemigroup((6, 9, 19)), max_splits=max_splits)
+        assert any(s.status == "unresolved" for s in rep.strata)
+        resolved = [s for s in rep.strata if s.status == "resolved"]
+        assert resolved
+        for s in resolved:
+            assert key(s) in full
+            assert s.contains(s.witness)
+            member = rep.family.member(s.witness)
+            assert algorithm1_lambda(member, gamma=rep.gamma).lambda_set == s.lambda_set
+
+
+@pytest.mark.parametrize("gens, runs", [((6, 9, 19), 6), ((7, 9), 16)])
+def test_one_parametric_run_per_leaf(monkeypatch, gens, runs):
+    # A split does not restart the run: the generic child goes on from the
+    # split, so only the resolved leaves are ever run.
+    real = strata._run_once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(strata, "_run_once", counted)
+    rep = stratify(NumericalSemigroup(gens))
+    assert len(calls) == runs
+    assert sum(s.status == "resolved" for s in rep.strata) == runs
 
 
 @pytest.mark.parametrize("gens", [(6, 9, 19), (4, 6, 13), (5, 7)])
