@@ -1,8 +1,8 @@
 """Command line interface.
 
 Every subcommand prints exactly one JSON document to stdout, newline
-terminated.  Exit codes: 0 success, 1 domain error (with an error JSON on
-stdout), 2 usage or malformed input.
+terminated.  Exit codes: 0 success, 1 domain error or exhausted memory
+(with an error JSON on stdout), 2 usage or malformed input.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def run(argv=None):
         return 2
     except (DomainError, PrecisionError) as exc:
         print(json.dumps({"error": args.command, "detail": str(exc)}))
+        return 1
+    except MemoryError:
+        print(json.dumps({"error": args.command, "detail": "out of memory"}))
         return 1
     print(json.dumps(result))
     return 0

@@ -203,6 +203,11 @@ class Poly:
         return Poly(self.ring,
                     {e: _exact(c / other) for e, c in self.terms.items()})
 
+    def __floordiv__(self, k):
+        """self / k for an int k that divides every coefficient, as a
+        series divides its numerators by their common factor."""
+        return Poly(self.ring, {e: c // k for e, c in self.terms.items()})
+
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")

@@ -4,17 +4,21 @@ A series stores all coefficients for exponents 0..precision-1; everything
 from t^precision on is unknown.  Coefficients are exact and held as
 numerators over one positive integer denominator per series: rationals in
 concrete mode are lifted to int numerators over the lcm of their
-denominators, and `poly.Poly` numerators in the family parameters keep
-denominator 1 when computing over a family.  A product multiplies the two
-denominators, a sum brings both to their lcm and divides out the common
-factor, and scaling by p/q multiplies the numerators by p and the
-denominator by q.  So a concrete Lambda run does int arithmetic per
-coefficient and touches a Fraction only for the one scalar of each
-cancel step; `coeff(i)` and `leading()` give the true values.
+denominators, and over a family a `poly.Poly` coefficient in the
+parameters is lifted the same way, to a Poly numerator with int
+coefficients over the lcm of its coefficients' denominators.  A product
+multiplies the two denominators, a sum brings both to their lcm and
+divides out the common factor of the new denominator and every integer
+coefficient of the numerators, and scaling by c multiplies the numerators
+by the integral m*c and the denominator by the least m that makes m*c
+integral.  So a run does integer arithmetic per coefficient, concrete or
+parametric, and touches a Fraction only for the one scalar of each cancel
+step; `coeff(i)` and `leading()` give the true values.
 
 Zero tests here are syntactic and read the numerators; a parametric run
 decides the vanishing of a coefficient through its constraint oracle
-instead.
+instead, which sees a numerator: a positive integer multiple of the true
+coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +27,33 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PrecisionError
+
+
+def _den(c):
+    """Least positive int m with m*c integral, for c an int, a Fraction or
+    a Poly."""
+    if isinstance(c, (int, Fraction)):
+        return c.denominator
+    return lcm(*(v.denominator for v in c.terms.values()))
+
+
+def _integral(c, m):
+    """m*c with int coefficients, for m a multiple of _den(c)."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator * (m // c.denominator)
+    return type(c)(c.ring, {e: v.numerator * (m // v.denominator)
+                            for e, v in c.terms.items()})
+
+
+def _content(g, nums):
+    """gcd of g and every integer coefficient of the numerators nums, each
+    an int or a Poly with int coefficients."""
+    for c in nums:
+        for v in (c,) if isinstance(c, int) else c.terms.values():
+            g = gcd(g, v)
+            if g == 1:
+                return 1
+    return g
 
 
 class AbovePrecision:
@@ -74,8 +105,9 @@ class TruncatedSeries:
     @staticmethod
     def from_terms(terms, precision):
         """terms: iterable of (exponent, coefficient); exponents >= precision
-        drop.  Rational coefficients are lifted to integer numerators over
-        the lcm of their denominators; polynomial ones keep den 1."""
+        drop.  Coefficients are lifted to integer numerators, or Poly
+        numerators with int coefficients, over the lcm of their
+        denominators."""
         coeffs = [0] * precision
         for e, c in terms:
             if e < 0:
@@ -83,7 +115,8 @@ class TruncatedSeries:
             if e < precision:
                 coeffs[e] = coeffs[e] + c
         if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-            return TruncatedSeries(coeffs, precision)
+            den = lcm(*map(_den, coeffs))
+            return TruncatedSeries([_integral(c, den) for c in coeffs], precision, den)
         den = 1
         for c in coeffs:
             den = lcm(den, c.denominator)
@@ -98,7 +131,8 @@ class TruncatedSeries:
 
     def _combine(self, other, sign):
         """self + sign * other over the lcm of the two denominators, with
-        the common factor of the new denominator and numerators divided out."""
+        the common factor of the new denominator and numerators (their
+        integer coefficients, for Poly numerators) divided out."""
         p = min(self.precision, other.precision)
         a, b = self.coeffs[:p], other.coeffs[:p]
         da, db = self.den, other.den
@@ -123,7 +157,7 @@ class TruncatedSeries:
                         if g == 1:
                             break
             except TypeError:
-                g = 1       # polynomial numerators: no integer content
+                g = _content(g, out)    # Poly numerators
             if g != 1:
                 den //= g
                 out = [c // g for c in out]
@@ -154,6 +188,11 @@ class TruncatedSeries:
         if isinstance(c, Fraction):
             den *= c.denominator
             c = c.numerator
+        elif not isinstance(c, int):
+            m = _den(c)     # a Poly: scale by the integral m*c over m
+            if m != 1:
+                den *= m
+                c = _integral(c, m)
         return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
                                self.precision, den)
 
@@ -209,9 +248,12 @@ class TruncatedSeries:
 
     def map_coeffs(self, fn):
         """Apply a ring homomorphism fn (one that fixes the integers, such
-        as evaluation at a point) to every coefficient."""
-        return TruncatedSeries([fn(c) if c else 0 for c in self.coeffs],
-                               self.precision, self.den)
+        as evaluation at a point) to every coefficient.  The images of the
+        numerators are lifted again, so evaluating Poly numerators gives
+        int ones."""
+        return TruncatedSeries.from_terms(
+            ((i, fn(c)) for i, c in enumerate(self.coeffs) if c),
+            self.precision).scale(Fraction(1, self.den))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -39,8 +39,12 @@ class ConstraintOracle:
     tuple in `splits` and answers "nonzero", so the run goes on as the
     generic child of the split.  That is what a rerun of the generic child
     would do: its assumptions contain the parent's, so every earlier zero
-    test comes out the same.  `factors` memoizes `irreducible_factors` by
-    polynomial; `stratify` hands one dict to every run of a single call.
+    test comes out the same.  A series hands the oracle its numerators,
+    positive integer multiples of the true coefficients, and a polynomial
+    has the factors of its normalized form; so `factors` memoizes
+    `irreducible_factors` by `c.normalized()`, one factorization per
+    polynomial up to a constant factor.  `stratify` hands one dict to
+    every run of a single call.
     """
 
     def __init__(self, nonzero=(), factors=None):
@@ -55,6 +59,7 @@ class ConstraintOracle:
             return True
         if c.is_constant():
             return False
+        c = c.normalized()
         factors = self.factors.get(c)
         if factors is None:
             factors = self.factors[c] = irreducible_factors(c)
@@ -291,7 +296,7 @@ def stratify(gamma, max_splits=60, seed=0):
     family = normal_form_family(gamma)
     gamma = family.gamma
     rng = random.Random(seed)
-    factors = {}  # Poly -> irreducible factors, for this call only
+    factors = {}  # normalized Poly -> irreducible factors, for this call only
 
     tasks = [(0, (), _Task([], [], []))]   # heap of (depth, path, task)
     leaves = []                            # (depth, path, Stratum)

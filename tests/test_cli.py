@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from branchforms import cli
 from branchforms.cli import run
 
 
@@ -318,3 +319,14 @@ def test_parameter_free_classes_report_the_empty_witness(capsys, gens):
     code, out = invoke(capsys, "stratify", "--gens", gens)
     assert code == 0
     assert [(s["status"], s["witness"]) for s in out] == [("resolved", {})]
+
+
+def test_exhausted_memory_is_an_error_json(capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decide", exhausted)
+    code, out = invoke(capsys, "decide", "--set",
+                       '{"elements":[],"cofinal":10}')
+    assert code == 1
+    assert out == {"error": "decide", "detail": "out of memory"}

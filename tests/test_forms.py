@@ -217,20 +217,26 @@ def test_concrete_series_hold_integer_numerators():
         assert all(type(c) is int for c in s.coeffs)
 
 
-def test_parametric_runs_keep_denominator_one(monkeypatch):
-    # parametric numerators are polynomials; their series never take a
-    # denominator, so the oracle reads the true coefficients
+def test_parametric_series_hold_integral_numerators(monkeypatch):
+    # parametric numerators are ints or Polys with int coefficients over
+    # one positive int denominator, which does grow above 1
     rep = stratify(NumericalSemigroup((6, 9, 19)))
-    dens = set()
+    built = []
     init = TruncatedSeries.__init__
 
     def recording_init(self, coeffs, precision, den=1):
         init(self, coeffs, precision, den)
-        dens.add(self.den)
+        built.append(self)
 
     monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
     for s in rep.strata:
         task = _Task(list(s.substitutions), list(s.equalities), list(s.nonzero))
         splits, (lam, _minimal, _nonzero) = _run_once(rep.family, task, {})
         assert splits == () and lam == s.lambda_set
-    assert dens == {1}
+    assert built
+    for series in built:
+        assert type(series.den) is int and series.den > 0
+        for c in series.coeffs:
+            assert type(c) is int or (isinstance(c, Poly) and all(
+                type(v) is int for v in c.terms.values()))
+    assert any(series.den > 1 for series in built)

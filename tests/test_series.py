@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchforms import AbovePrecision, PrecisionError, Ring, TruncatedSeries
+from branchforms import AbovePrecision, Poly, PrecisionError, Ring, TruncatedSeries
 
 
 def series(terms, precision=20):
@@ -149,14 +149,74 @@ def test_equal_series_with_different_denominators_compare_equal(a, m):
 
 
 def test_polynomial_numerators_over_a_denominator():
-    # the public API lets a series of Polys take a rational scalar: no
-    # integer content to divide out, and coeff divides the Poly instead
+    # a series of Polys takes a rational scalar into its denominator; a
+    # sum divides out the integer content its numerators share with it,
+    # and coeff divides the Poly
     a = Ring(("a",)).gen("a")
     s = TruncatedSeries.from_terms([(1, a), (2, 3 * a)], 4)
     assert s.den == 1
     half = s.scale(Fraction(1, 2))
     assert half.den == 2 and half.coeff(1) == a / 2
+    assert (half + half).den == 1 and (half + half).coeffs[2] == 3 * a
     total = half + s.scale(Fraction(1, 3))
     assert total.den == 6
     assert total.coeff(1) == a * Fraction(5, 6) and total.coeff(2) == a * Fraction(5, 2)
     assert total == s.scale(Fraction(5, 6))
+
+
+# -- Poly numerators over one denominator, against a list-of-Poly reference --
+
+PARAMS = Ring(("a", "b"))
+nonzero_fracs = fracs.filter(bool)
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        nonzero_fracs, max_size=3).map(
+    lambda terms: Poly(PARAMS, {e: c.numerator if c.denominator == 1 else c
+                                for e, c in terms.items()}))
+poly_lists = st.lists(polys, min_size=1, max_size=6)
+
+
+def poly_values(s):
+    """The true coefficients, after checking that the numerators are ints
+    or Polys with int coefficients over a positive int denominator."""
+    assert type(s.den) is int and s.den > 0
+    for c in s.coeffs:
+        assert type(c) is int or all(type(v) is int for v in c.terms.values())
+    return [s.coeff(i) for i in range(s.precision)]
+
+
+def poly_mul(a, b):
+    p = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), PARAMS.zero())
+            for k in range(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_lists, poly_lists, polys, fracs, st.integers(-7, 7))
+def test_poly_numerators_match_poly_reference(a, b, c, q, k):
+    sa = TruncatedSeries.from_terms(enumerate(a), len(a))
+    sb = TruncatedSeries.from_terms(enumerate(b), len(b))
+    p = min(len(a), len(b))
+    assert poly_values(sa) == a and poly_values(sb) == b
+    assert poly_values(sa + sb) == [x + y for x, y in zip(a, b)]
+    assert poly_values(sa - sb) == [x - y for x, y in zip(a, b)]
+    assert poly_values(sa * sb) == poly_mul(a, b)
+    assert poly_values(sa.scale(k)) == [x * k for x in a]
+    assert poly_values(sa.scale(q)) == [x * q for x in a]
+    assert poly_values(sa.scale(c)) == [x * c for x in a]
+    # a sum of scaled series meets every denominator at once
+    mixed = sa.scale(c) - sb.scale(q)
+    assert poly_values(mixed) == [x * c - y * q for x, y in zip(a, b)]
+    if len(a) > 1:
+        assert poly_values(sa.derivative()) == [a[i + 1] * (i + 1)
+                                                for i in range(len(a) - 1)]
+    nonzero = [(i, x) for i, x in enumerate(a) if x]
+    if nonzero:
+        assert sa.leading() == nonzero[0]
+    else:
+        assert sa.leading() == AbovePrecision(len(a))
+    assert (sa.truncate(p) == sb.truncate(p)) == (a[:p] == b[:p])
+    assert sa.scale(c) == TruncatedSeries.from_terms(
+        enumerate(x * c for x in a), len(a))
+    point = {"a": Fraction(1, 2), "b": Fraction(-2, 3)}
+    at = sa.scale(q).map_coeffs(lambda x: x.eval(point) if isinstance(x, Poly) else x)
+    assert poly_values(at + at) == [2 * q * x.eval(point) for x in a]
