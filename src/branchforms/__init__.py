@@ -15,7 +15,6 @@ from .errors import (BranchFormsError, DomainError, PrecisionError,
 from .forms import (FormEntry, FormValueBasis, OneForm, algorithm1_lambda,
                     differential, eval_form_order, eval_form_orders_multi,
                     minimal_s_processes, pullback_form)
-from .params import ParamPoly, ParamRing
 from .poly import Poly, Ring, coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
                         characteristic_from_semigroup, gamma_star_apery,
@@ -34,7 +33,7 @@ __all__ = [
     "AbovePrecision", "AperyProfile", "BranchFormsError",
     "BranchParametrization", "CharacteristicSequence", "Decision",
     "DomainError", "FormEntry", "FormValueBasis", "NormalFormFamily",
-    "NumericalSemigroup", "OneForm", "ParamPoly", "ParamRing", "Poly",
+    "NumericalSemigroup", "OneForm", "Poly",
     "PrecisionError", "Ring", "StandardBasisOf", "StratificationReport", "Stratum",
     "TruncatedSeries", "ValidationError", "ValueSet", "algorithm1_lambda",
     "apery_profile", "apery_set", "b_sets", "characteristic_from_semigroup",

@@ -140,12 +140,23 @@ def default_precision(gamma):
     return max(gamma.conductor - 1, gamma.generators[-1]) + 1
 
 
+def _pullback_degree(phi, p):
+    """Bound on the t-degree of the polynomial p(phi(t)): the largest
+    sum k_i deg x_i over the terms of p (0 for a constant)."""
+    degs = [coord[-1][0] if coord else 0 for coord in phi.coords]
+    return max((sum(k * d for k, d in zip(exps, degs)) for exps in p.terms),
+               default=0)
+
+
 def nu(phi, h, precision=None):
-    """Order of the pullback of a bivariate polynomial, or AbovePrecision."""
+    """Order of the pullback of a polynomial, or AbovePrecision.
+
+    Without a precision the pullback is expanded in full, so the order is
+    exact and AbovePrecision means h vanishes identically on the branch."""
     if not h:
         raise ValidationError("nu is undefined for the zero polynomial")
     if precision is None:
-        precision = default_precision(semigroup_of(phi))
+        precision = _pullback_degree(phi, h) + 1
     args = phi.series(precision)
     return h.eval_series(args).order()
 
@@ -227,7 +238,6 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
     """
     if gamma is None:
         gamma = semigroup_of(phi)
-    is_zero = oracle.is_zero if oracle is not None else (lambda c: not c)
     v = gamma.generators
     xs, ys = phi.series(default_precision(gamma))[:2]
     if xs.order() != v[0]:
@@ -258,7 +268,10 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
             plead = prod[0].leading()
             assert not isinstance(plead, AbovePrecision) and plead[0] == o
             h = _cancel(h, h[0].coeff(o), prod, plead[1])
-        if is_zero(h[0].coeffs[target]):
+        lead = h[0].coeffs[target]
+        if oracle is not None:
+            oracle.is_zero(lead)  # called only to record a split
+        if not lead:
             raise DomainError(f"semiroot pullback vanished at target value {target}")
         basis.append(h)
 

@@ -2,7 +2,10 @@
 
 Every subcommand prints exactly one JSON document to stdout, newline
 terminated.  Exit codes: 0 success, 1 domain error or exhausted memory
-(with an error JSON on stdout), 2 usage or malformed input.
+(with an error JSON on stdout), 2 usage or malformed input, argparse's own
+usage errors (an unknown flag or subcommand, a missing argument) included,
+all with {"error": "usage", "detail": ...} on stdout.  Only --help prints
+plain text.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .branch import characteristic_sequence, semigroup_of
 from .decider import decide
 from .errors import DomainError, PrecisionError, ValidationError
 from .forms import algorithm1_lambda, eval_form_order, eval_form_orders_multi
-from .semigroup import (NumericalSemigroup, gamma_star_apery,
-                        is_plane_branch_semigroup)
+from .semigroup import (NumericalSemigroup, characteristic_from_semigroup,
+                        gamma_star_apery, is_plane_branch_semigroup)
 from .series import AbovePrecision
 from .strata import stratify
 from .valueset import apery_profile, recover_gamma
@@ -56,12 +59,8 @@ def _cmd_semigroup(args):
         gens = semigroup_of(phi).generators
     else:
         raise ValidationError("semigroup needs --gens or --branch")
-    ok, reason = True, "plane branch semigroup"
-    try:
-        ok, reason = is_plane_branch_semigroup(tuple(sorted(set(gens))))
-    except ValidationError:
-        ok, reason = False, "generators do not form an increasing positive list"
     gamma = NumericalSemigroup(gens)
+    ok, reason = is_plane_branch_semigroup(tuple(sorted(set(gens))))
     out = {
         "generators": list(gamma.generators),
         "e": list(gamma.e),
@@ -71,7 +70,6 @@ def _cmd_semigroup(args):
         "plane_branch": {"ok": ok, "reason": reason},
     }
     if ok:
-        from .semigroup import characteristic_from_semigroup
         out["characteristic"] = list(characteristic_from_semigroup(gamma).exponents)
     return out
 
@@ -129,8 +127,18 @@ def _cmd_decide(args):
     return jsonio.decision_to_json(decision)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error raises ValidationError, so that it ends in
+    the usage JSON like every other malformed input; the usage line still
+    goes to stderr.  Subcommand parsers share this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branchforms",
         description="Value semigroups and 1-form value sets of plane branches")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,9 +154,6 @@ def _build_parser():
 
     p = sub.add_parser("lambda", help="value set of 1-forms of a plane branch")
     p.add_argument("--branch", required=True, help="branch JSON (inline or path)")
-    p.add_argument("--precision", type=int, default=None,
-                   help="accepted for compatibility; the run always uses the "
-                        "precision its values need")
     p.set_defaults(fn=_cmd_lambda)
 
     p = sub.add_parser("eval-form", help="value of one 1-form on one or more branches")
@@ -163,29 +168,23 @@ def _build_parser():
     p.add_argument("--gens", required=True)
     p.add_argument("--max-splits", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the solver is sequential")
     p.set_defaults(fn=_cmd_stratify)
 
     p = sub.add_parser("decide", help="is L the value set of 1-forms of a plane branch?")
     p.add_argument("--set", required=True, help="value set JSON (inline or path)")
     p.add_argument("--max-splits", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the solver is sequential")
     p.set_defaults(fn=_cmd_decide)
 
     return parser
 
 
 def run(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         result = args.fn(args)
+    except SystemExit as exc:  # --help, after printing its text
+        return exc.code
     except ValidationError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}))
         return 2

@@ -3,9 +3,9 @@ of 1-forms of some plane branch.
 
 Three gates, cheapest first: (1) L must be covered by its Apery set;
 (2) the candidate generators u_i = max(B_i(L)) must satisfy the numerical
-constraints of a plane-branch semigroup (eta_i >= 2 and
-eta_{i-1} u_{i-1} < u_i); (3) <u_0, ..., u_rho> is stratified and L is
-compared against every attainable Lambda.
+constraints of a plane-branch semigroup (eta_{i-1} u_{i-1} < u_i; every
+eta_i >= 2 already, see `valueset.epsilon_eta`); (3) <u_0, ..., u_rho> is
+stratified and L is compared against every attainable Lambda.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import DomainError
 from .forms import algorithm1_lambda
 from .semigroup import NumericalSemigroup, is_plane_branch_semigroup
 from .strata import stratify
-from .valueset import ValueSet, apery_set, b_sets, epsilon_eta, is_covered
+from .valueset import ValueSet, b_sets, epsilon_eta, is_covered
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,13 @@ def _yes(stage, evidence, witness, expected, gamma=None):
 
 def decide(L, max_splits=60, seed=0):
     if not isinstance(L, ValueSet):
-        L = ValueSet.from_members(tuple(L), max(L) + 1)
+        L = ValueSet(tuple(L), max(L) + 1)
 
     covered, missing = is_covered(L, with_witness=True)
     if not covered:
-        if missing is None:
-            ap = apery_set(L)
-            ev = (f"Apery set has {len(ap)} residue classes, "
-                  f"need {ap[0]} for min(L) = {ap[0]}")
-        else:
-            a0 = L.min()
-            ev = f"{missing} lies on an Apery progression mod {a0} but not in L"
-        return Decision("no", "not-covered", ev)
+        return Decision("no", "not-covered",
+                        f"{missing} lies on an Apery progression mod "
+                        f"{L.min()} but not in L")
 
     _eps, eta, rho = epsilon_eta(L)
     if rho == 0:
@@ -67,10 +62,6 @@ def decide(L, max_splits=60, seed=0):
         return Decision("no", "eta-or-bresinsky-failed", str(exc))
 
     for i in range(1, rho + 1):
-        if eta[i] < 2:
-            return Decision(
-                "no", "eta-or-bresinsky-failed",
-                f"eta_{i} = {eta[i]} < 2")
         if eta[i - 1] * u[i - 1] >= u[i]:
             return Decision(
                 "no", "eta-or-bresinsky-failed",

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import operator
 
-from .branch import (_cancel, _ProductCache, semigroup_of,
+from .branch import (_cancel, _ProductCache, _pullback_degree, semigroup_of,
                      standard_basis_of_ring)
 from .errors import DomainError, PrecisionError, ValidationError
 from .series import AbovePrecision, TruncatedSeries
@@ -97,11 +97,11 @@ def _exact_precision(phi, form):
     polynomial in t of degree at most max(deg A_i(phi) + deg x_i - 1); two
     more positions cover that degree and the one a derivative drops.  At
     this precision a pullback that vanishes is identically zero."""
-    degs = [coord[-1][0] if coord else 0 for coord in phi.coords]
     top = 0
-    for a, d in zip(form.coeffs, degs):
-        for exps in a.terms:
-            top = max(top, sum(k * dj for k, dj in zip(exps, degs)) + d - 1)
+    for a, coord in zip(form.coeffs, phi.coords):
+        if a:
+            deg = coord[-1][0] if coord else 0
+            top = max(top, _pullback_degree(phi, a) + deg - 1)
     return top + 2
 
 
@@ -217,11 +217,12 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
     the chain leaves the bound.  Positions whose value is reducible by the
     basis are cancelled without a zero test: subtracting (c/lp) times a
     value-matched multiple is a no-op when c happens to vanish, so only
-    coefficients at genuinely new values ever need the oracle (this is
+    coefficients at genuinely new values ever reach the oracle (this is
     what keeps parametric runs from splitting on every intermediate
-    coefficient).
+    coefficient).  Such a coefficient is syntactically nonzero, and the
+    oracle answers "nonzero" on every nonzero input, so its value is
+    kept; the oracle is called only to record the split.
     """
-    is_zero = oracle.is_zero if oracle is not None else None
     if elem[0].precision < bound:
         raise PrecisionError("series shorter than the reduction bound")
     o = 0
@@ -242,9 +243,8 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
                 reducer = (entry, s)
                 break
         if reducer is None:
-            if is_zero is not None and is_zero(pull.coeffs[o]):
-                o += 1
-                continue
+            if oracle is not None:
+                oracle.is_zero(pull.coeffs[o])
             return _entry(elem, value)
         entry, delta = reducer
         red = _times(cache.product(delta), entry)
@@ -282,8 +282,6 @@ def algorithm1_core(sb, oracle=None):
 
     gens = gamma.generators
     cap = bound + gens[-1]
-    if cap < 0:
-        return entries
     heap = []
     counter = itertools.count()
     seen_pairs = set()

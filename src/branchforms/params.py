@@ -6,7 +6,7 @@ polynomials that rule cannot settle.
 
 `ParamPoly` and `ParamRing` are other names of `poly.Poly` and `poly.Ring`
 (the same classes, not subclasses), kept for code that imports them from
-here.
+here: the `params.mul` span of `perfbench/spans.py` binds `ParamPoly`.
 """
 
 from __future__ import annotations

@@ -135,18 +135,28 @@ class Poly:
             return self.ring.constant(other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _combine(self, other, sign):
+        """self + sign * other, for other a Poly in the same ring or a
+        rational, which goes straight into the constant term."""
+        if isinstance(other, Poly):
+            if other.ring is not self.ring:
+                raise ValueError("mixed polynomial rings")
+            items = other.terms.items()
+        elif isinstance(other, (int, Fraction)):
+            items = ((self.ring._zero_exp, _exact(other)),)
+        else:
             return NotImplemented
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        for e, c in items:
+            s = terms.get(e, 0) + c if sign > 0 else terms.get(e, 0) - c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
         return Poly(self.ring, terms)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -154,16 +164,10 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -51,10 +51,6 @@ class CharacteristicSequence:
     def e(self):
         return tuple(_gcd_chain(self.exponents))
 
-    @property
-    def g(self):
-        return len(self.exponents) - 1
-
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
@@ -166,9 +162,6 @@ class NumericalSemigroup:
     def members_up_to(self, bound):
         """Sorted list of members in [0, bound)."""
         return [z for z in range(0, bound) if z in self]
-
-    def gaps(self):
-        return [z for z in range(1, self.conductor) if z not in self]
 
 
 def _minimalize(gens):

@@ -45,6 +45,11 @@ class ConstraintOracle:
     `irreducible_factors` by `c.normalized()`, one factorization per
     polynomial up to a constant factor.  `stratify` hands one dict to
     every run of a single call.
+
+    So `is_zero(c)` returns `not c` for every input: a split is recorded,
+    never answered "zero".  Callers test `not c` themselves and call the
+    oracle on a coefficient whose vanishing decides a value, only so that
+    it records the split.
     """
 
     def __init__(self, nonzero=(), factors=None):
@@ -252,16 +257,15 @@ def _run_once(family, task, factors):
 def _sample_witness(family, stratum, rng, tries=60):
     """Full rational point in the stratum: sample the free parameters,
     back-substitute the solved equalities newest-first, check the
-    constraints."""
+    constraints.  Each solved expression is free of the names solved
+    before it, whose substitutions were applied to the run that met its
+    equality, so newest-first reads only names already in the point."""
     solved = {name for name, _ in stratum.substitutions}
     pool = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
     for _ in range(tries):
         point = {n: rng.choice(pool) for n in family.ring.names if n not in solved}
-        try:
-            for name, expr in reversed(stratum.substitutions):
-                point[name] = expr.eval(point)
-        except KeyError:
-            continue
+        for name, expr in reversed(stratum.substitutions):
+            point[name] = expr.eval(point)
         if stratum.contains(point):
             return point
     return None

@@ -38,15 +38,6 @@ class ValueSet:
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "cofinal", cof)
 
-    @staticmethod
-    def from_members(members, cofinal):
-        return ValueSet(tuple(members), cofinal)
-
-    @staticmethod
-    def naturals():
-        """The set of all positive integers."""
-        return ValueSet((), 1)
-
     def __contains__(self, z):
         z = int(z)
         if z >= self.cofinal:
@@ -80,7 +71,9 @@ class AperyProfile:
 
 
 def apery_set(s):
-    """Smallest member of each residue class mod min(s) that s meets."""
+    """Smallest member of each residue class mod a_0 = min(s).  The scan
+    runs over [1, cofinal + a_0), whose top a_0 integers are members, so
+    every class is met: the result has a_0 elements, a_0 first."""
     a0 = s.min()
     reps = {}
     for z in s.up_to(s.cofinal + a0):
@@ -91,14 +84,11 @@ def apery_set(s):
 
 
 def is_covered(s, with_witness=False):
-    """s is covered by its Apery set if the set has full size a_0 and every
-    a_j + k*a_0 belongs to s.  Returns bool, or (bool, witness) where the
-    witness is a missing element of some progression (None when the failure
-    is a short Apery set)."""
+    """s is covered by its Apery set if every a_j + k*a_0 belongs to s.
+    Returns bool, or (bool, witness) where the witness is a missing element
+    of some progression (None when s is covered)."""
     ap = apery_set(s)
     a0 = ap[0]
-    if len(ap) < a0:
-        return (False, None) if with_witness else False
     for a in ap:
         z = a
         while z < s.cofinal:
@@ -113,7 +103,11 @@ def epsilon_eta(s):
     Apery set, and the ratios eta_i = eps_{i-1}/eps_i.  eps_i is
     gcd(eps_{i-1}, a) for the smallest Apery element a that eps_{i-1} does
     not divide.  Returns (epsilon, eta, rho).  Requires s covered by its
-    Apery set."""
+    Apery set.
+
+    The sequence cannot stall: eps_{i-1} > 1 divides a_0, so it does not
+    divide the Apery element congruent to 1 mod a_0; and eps_i is a proper
+    divisor of eps_{i-1}, so every eta_i >= 2."""
     cov, _ = is_covered(s, with_witness=True)
     if not cov:
         raise DomainError("set is not covered by its Apery set")
@@ -121,9 +115,7 @@ def epsilon_eta(s):
     eps = [ap[0]]
     eta = [1]
     while eps[-1] != 1:
-        a = next((a for a in ap if a % eps[-1] != 0), None)
-        if a is None:
-            raise DomainError("gcd sequence stalled before reaching 1")
+        a = next(a for a in ap if a % eps[-1] != 0)
         nxt = gcd(eps[-1], a)
         eta.append(eps[-1] // nxt)
         eps.append(nxt)

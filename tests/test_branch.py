@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchforms import (BranchParametrization, DomainError, NumericalSemigroup,
                          characteristic_sequence, coordinate_ring, default_precision, nu,
@@ -43,8 +46,31 @@ def test_nu_pullback_orders():
     x, y = coordinate_ring(2).gens()
     assert nu(phi, x) == 2
     assert nu(phi, y) == 3
-    assert nu(phi, y * y - x * x * x) == AbovePrecision(default_precision(semigroup_of(phi)))
+    # y^2 - x^3 vanishes identically: the full pullback has degree 6
+    assert nu(phi, y * y - x * x * x) == AbovePrecision(7)
     assert nu(phi, x * y + y) == 3
+    # values above the Lambda-run length max(mu - 1, v_g) + 1 = 4 are exact
+    assert nu(phi, y * y) == 6
+    assert nu(phi, x * y) == 5
+    assert nu(phi, x ** 5 + y * y) == 6
+
+
+@st.composite
+def plane_branches(draw):
+    """(t^n, y(t)) with ord(y) >= n and gcd of all exponents 1."""
+    n = draw(st.integers(1, 6))
+    exps = draw(st.sets(st.integers(n, 4 * n + 8), min_size=1, max_size=4))
+    if gcd(n, *exps) != 1:
+        exps.add(min(exps) + 1)
+    coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    return BranchParametrization.plane(n, {e: draw(coeffs) for e in exps})
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_branches(), st.integers(0, 8), st.integers(0, 8))
+def test_nu_of_a_monomial_is_exact(phi, a, b):
+    x, y = coordinate_ring(2).gens()
+    assert nu(phi, x ** a * y ** b) == a * phi.multiplicity + b * phi.coord_order(1)
 
 
 def test_standard_basis_values():

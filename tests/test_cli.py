@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,14 +150,6 @@ def test_eval_form_rejects_malformed_polynomials(capsys, dx):
     assert out["error"] == "usage"
 
 
-def test_lambda_precision_is_accepted_and_changes_nothing(capsys):
-    branch = '{"n":6,"y":[[9,"1"],[10,"1"],[11,"-1/2"]]}'
-    outs = [invoke(capsys, "lambda", "--branch", branch, *extra)
-            for extra in ((), ("--precision", "5"), ("--precision", "400"))]
-    assert outs[0][0] == 0
-    assert outs[1] == outs[0] and outs[2] == outs[0]
-
-
 def test_stratify_command(capsys):
     code, out = invoke(capsys, "stratify", "--gens", "6,9,19")
     assert code == 0
@@ -197,9 +192,46 @@ def test_set_from_file(tmp_path, capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    code = run(["frobnicate"])
-    capsys.readouterr()
+    code, out = invoke(capsys, "frobnicate")
     assert code == 2
+    assert out["error"] == "usage" and "frobnicate" in out["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("stratify", "--gens", "5,7", "--jobs", "2"),
+    ("decide", "--set", '{"elements":[],"cofinal":1}', "--jobs", "2"),
+    ("lambda", "--branch", '{"n":2,"y":[[3,"1"]]}', "--precision", "5"),
+    ("lambda",),
+    ("stratify", "--gens", "5,7", "--max-splits", "many"),
+])
+def test_argparse_errors_print_the_usage_json(capsys, argv):
+    # unknown flags (the removed --jobs and lambda --precision among them),
+    # a missing and a malformed argument
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage" and out["detail"]
+
+
+def test_help_is_plain_text_and_exits_zero(capsys):
+    assert run(["stratify", "--help"]) == 0
+    assert "--max-splits" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("semigroup", "--gens", "6,9,19"), 0),
+    (("semigroup", "--gens", "4,6"), 1),
+    (("stratify", "--gens", "5,7", "--jobs", "2"), 2),
+])
+def test_the_program_prints_one_json_line(argv, code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "branchforms.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+    assert isinstance(json.loads(proc.stdout), dict)
 
 
 @pytest.mark.parametrize("branch, form, value", [

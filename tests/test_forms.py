@@ -134,7 +134,7 @@ def test_lambda_trivial_cases():
     assert algorithm1_lambda(BranchParametrization.plane(2, {3: 1})).lambda_set \
         == ValueSet((), 2)
     assert algorithm1_lambda(BranchParametrization.plane(1, {})).lambda_set \
-        == ValueSet.naturals()
+        == ValueSet((), 1)
 
 
 def test_lambda_contains_semigroup_and_monomodule(corpus):

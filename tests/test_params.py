@@ -5,13 +5,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchforms import NumericalSemigroup, ParamPoly, ParamRing, normal_form_family
+from branchforms import NumericalSemigroup, normal_form_family
 from branchforms.params import _single_factor, irreducible_factors
 from branchforms.poly import Poly, Ring
 
 
 def ring():
-    return ParamRing(("a", "b", "c"))
+    return Ring(("a", "b", "c"))
 
 
 def test_constants_and_gens():
@@ -101,12 +101,12 @@ def test_fraction_and_int_coefficients_agree():
     R = ring()
     a, b, _ = R.gens()
     e = next(iter(a.terms))
-    as_fraction = ParamPoly(R, {e: Fraction(2)})
-    as_int = ParamPoly(R, {e: 2})
+    as_fraction = Poly(R, {e: Fraction(2)})
+    as_int = Poly(R, {e: 2})
     assert as_fraction == as_int
     assert hash(as_fraction) == hash(as_int)
     assert str(as_fraction) == str(as_int) == "2*a"
-    mixed = ParamPoly(R, {e: Fraction(3), next(iter(b.terms)): Fraction(-1, 2)})
+    mixed = Poly(R, {e: Fraction(3), next(iter(b.terms)): Fraction(-1, 2)})
     assert str(mixed) == "3*a - 1/2*b"
     assert str(R.constant(Fraction(-7))) == "-7"
 
@@ -126,7 +126,7 @@ def test_exact_division_gives_ints():
 def test_content_and_normalized_on_mixed_coefficients():
     R = ring()
     a, b, _ = R.gens()
-    p = ParamPoly(R, {next(iter(a.terms)): 4,
+    p = Poly(R, {next(iter(a.terms)): 4,
                       next(iter(b.terms)): Fraction(-2, 3)})
     assert p.content() == Fraction(2, 3)
     n = p.normalized()

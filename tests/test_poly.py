@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from branchforms import (BranchParametrization, ParamPoly, ParamRing, Poly,
-                         Ring, coordinate_ring, differential, eval_form_order)
+from branchforms import (BranchParametrization, Poly, Ring, coordinate_ring,
+                         differential, eval_form_order)
 from branchforms.jsonio import form_from_json, form_to_json
+from branchforms.params import ParamPoly, ParamRing
 
 
 def test_one_polynomial_class():
@@ -35,6 +36,23 @@ def test_mixed_rings_are_rejected():
         x * a
     with pytest.raises(ValueError):
         x.scale(a)
+    with pytest.raises(ValueError):
+        x - a
+
+
+@pytest.mark.parametrize("r", [0, 3, Fraction(6, 2), Fraction(-1, 2)])
+def test_sums_and_differences_with_rationals(r):
+    x, y = coordinate_ring(2).gens()
+    p = 2 * x * y - x + 3
+    point = {"x": Fraction(2, 3), "y": Fraction(-5)}
+    for got, want in ((p + r, p.eval(point) + r), (r + p, p.eval(point) + r),
+                      (p - r, p.eval(point) - r), (r - p, r - p.eval(point)),
+                      (p - p, 0), (p + (-p), 0)):
+        assert got.eval(point) == want
+        # integral coefficients stay ints, and no zero term is kept
+        assert all(c and (type(c) is int or c.denominator != 1)
+                   for c in got.terms.values())
+    assert (p - 3).terms == {(1, 1): 2, (1, 0): -1}
 
 
 def test_scalar_product_partial_and_series():

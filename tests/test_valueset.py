@@ -21,7 +21,7 @@ def test_canonical_form():
     assert s.cofinal == 5
     assert s.elements == (3,)
     assert ValueSet((3, 5, 6, 7), 8) == ValueSet((3,), 5)
-    assert ValueSet.naturals() == ValueSet((), 1)
+    assert ValueSet((1, 2), 3) == ValueSet((), 1)
 
 
 def test_membership_and_min():
@@ -122,3 +122,35 @@ def test_epsilon_uses_smallest_apery_element_off_the_previous_gcd():
     lam = ValueSet((4, 8, 9, 12, 13), 15)
     assert epsilon_eta(lam) == ((4, 1), (1, 4), 1)
     assert recover_gamma(lam).generators == (4, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(min_value=1, max_value=39), max_size=12),
+       st.integers(min_value=1, max_value=40))
+def test_apery_set_meets_every_residue_class(elements, cofinal):
+    s = ValueSet(tuple(elements), cofinal)
+    ap = apery_set(s)
+    assert len(ap) == s.min() == ap[0]
+    assert sorted(a % ap[0] for a in ap) == list(range(ap[0]))
+
+
+@st.composite
+def covered_sets(draw):
+    """Union of the progressions a_r + k*a_0 (k >= 0) over a chosen Apery
+    set {a_0} + {a_r = r + m_r*a_0 : 0 < r < a_0}, m_r >= 1: covered by
+    construction."""
+    a0 = draw(st.integers(1, 9))
+    starts = [a0] + [r + a0 * draw(st.integers(1, 5)) for r in range(1, a0)]
+    cofinal = max(starts) + 1
+    members = {z for a in starts for z in range(a, cofinal, a0)}
+    return ValueSet(tuple(members), cofinal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(covered_sets())
+def test_epsilon_eta_reaches_one_with_every_eta_at_least_two(s):
+    assert is_covered(s)
+    eps, eta, rho = epsilon_eta(s)
+    assert eps[0] == s.min() and eps[-1] == 1 and len(eps) == rho + 1
+    assert all(e >= 2 for e in eta[1:])
+    assert all(eps[i - 1] == eta[i] * eps[i] for i in range(1, rho + 1))
