@@ -17,15 +17,15 @@ from .forms import (FormEntry, FormValueBasis, OneForm, algorithm1_lambda,
                     minimal_s_processes, pullback_form)
 from .poly import Poly, Ring, coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
-                        characteristic_from_semigroup, gamma_star_apery,
+                        characteristic_from_semigroup,
                         is_plane_branch_semigroup,
                         semigroup_from_characteristic)
 from .series import AbovePrecision, TruncatedSeries
 from .strata import (NormalFormFamily, StratificationReport, Stratum,
                      normal_form_family, stratify)
 from .valueset import (AperyProfile, ValueSet, apery_profile, apery_set,
-                       b_sets, epsilon_eta, from_semigroup, is_covered,
-                       recover_gamma)
+                       b_sets, epsilon_eta, from_semigroup, gamma_star_apery,
+                       is_covered, recover_gamma)
 
 __version__ = "0.1.0"
 

@@ -21,10 +21,10 @@ from .decider import decide
 from .errors import DomainError, PrecisionError, ValidationError
 from .forms import algorithm1_lambda, eval_form_order, eval_form_orders_multi
 from .semigroup import (NumericalSemigroup, characteristic_from_semigroup,
-                        gamma_star_apery, is_plane_branch_semigroup)
+                        is_plane_branch_semigroup)
 from .series import AbovePrecision
 from .strata import stratify
-from .valueset import apery_profile, recover_gamma
+from .valueset import apery_profile, gamma_star_apery, recover_gamma
 
 
 def _load_json(arg, what):

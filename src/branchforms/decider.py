@@ -4,8 +4,10 @@ of 1-forms of some plane branch.
 Three gates, cheapest first: (1) L must be covered by its Apery set;
 (2) the candidate generators u_i = max(B_i(L)) must satisfy the numerical
 constraints of a plane-branch semigroup (eta_{i-1} u_{i-1} < u_i; every
-eta_i >= 2 already, see `valueset.epsilon_eta`); (3) <u_0, ..., u_rho> is
-stratified and L is compared against every attainable Lambda.
+eta_i >= 2 already, and every B_i has its full size, see
+`valueset._build_profile`); (3) <u_0, ..., u_rho> is stratified and L is
+compared against every attainable Lambda.  Gates 1 and 2 read L's Apery
+profile, computed once by the first of them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branch import BranchParametrization
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .forms import algorithm1_lambda
 from .semigroup import NumericalSemigroup, is_plane_branch_semigroup
 from .strata import stratify
@@ -30,18 +32,23 @@ class Decision:
     gamma: object = None      # candidate semigroup, when gate 1 passed
 
 
-def _yes(stage, evidence, witness, expected, gamma=None):
+def _yes(evidence, witness, expected, gamma):
     """Final soundness check: the witness must reproduce L concretely."""
     lam = algorithm1_lambda(witness).lambda_set
     if lam != expected:
         raise DomainError(
             f"witness validation failed: computed {lam}, expected {expected}")
-    return Decision("yes", stage, evidence, witness, gamma)
+    return Decision("yes", "matched", evidence, witness, gamma)
 
 
 def decide(L, max_splits=60, seed=0):
+    """L is a ValueSet, or a finite iterable of positive integers read as
+    its elements together with every integer above their maximum."""
     if not isinstance(L, ValueSet):
-        L = ValueSet(tuple(L), max(L) + 1)
+        elements = tuple(L)
+        if not elements:
+            raise ValidationError("an empty set of integers is not cofinite")
+        L = ValueSet(elements, max(elements) + 1)
 
     covered, missing = is_covered(L, with_witness=True)
     if not covered:
@@ -53,13 +60,10 @@ def decide(L, max_splits=60, seed=0):
     if rho == 0:
         # min(L) = 1, so L is all positive integers: the smooth branch.
         witness = BranchParametrization.plane(1, {})
-        return _yes("matched", "L is the full set of positive integers",
+        return _yes("L is the full set of positive integers",
                     witness, L, NumericalSemigroup((1,)))
 
-    try:
-        u = tuple(max(b) for b in b_sets(L))
-    except DomainError as exc:
-        return Decision("no", "eta-or-bresinsky-failed", str(exc))
+    u = tuple(max(b) for b in b_sets(L))
 
     for i in range(1, rho + 1):
         if eta[i - 1] * u[i - 1] >= u[i]:
@@ -83,7 +87,7 @@ def decide(L, max_splits=60, seed=0):
             witness = report.family.member(stratum.witness)
             ev = ("matched a stratum of <" +
                   ", ".join(map(str, gamma.generators)) + ">")
-            return _yes("matched", ev, witness, L, gamma)
+            return _yes(ev, witness, L, gamma)
     if unresolved:
         return Decision(
             "unresolved", "no-matching-stratum",

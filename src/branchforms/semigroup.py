@@ -244,16 +244,3 @@ def characteristic_from_semigroup(gamma):
         b.append(v[i] - n[i - 1] * v[i - 1] + b[i - 1])
     return CharacteristicSequence(tuple(b))
 
-
-def gamma_star_apery(gamma):
-    """Apery set of the punctured semigroup Gamma \\ {0}: the smallest
-    positive member in each residue class mod v_0.  For free semigroups
-    this equals {v_0} plus the nonzero sums sum s_i v_i with 0 <= s_i < n_i."""
-    v0 = gamma.multiplicity
-    bound = gamma.conductor + v0 + 1
-    reps = {}
-    for z in range(1, bound):
-        if z in gamma and z % v0 not in reps:
-            reps[z % v0] = z
-    assert len(reps) == v0
-    return sorted(reps.values())

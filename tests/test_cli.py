@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from branchforms import cli
+from branchforms import ValueSet, cli
 from branchforms.cli import run
 
 
@@ -175,6 +175,25 @@ def test_decide_command(capsys):
     assert code == 0
     assert out["verdict"] == "yes"
     assert out["witness"]["n"] == 6
+
+
+def test_recover_gamma_and_decide_compute_the_apery_profile_once(
+        monkeypatch, capsys):
+    # the Apery scan is the only caller of ValueSet.up_to
+    calls = []
+    up_to = ValueSet.up_to
+
+    def counting_up_to(self, bound):
+        calls.append(bound)
+        return up_to(self, bound)
+
+    monkeypatch.setattr(ValueSet, "up_to", counting_up_to)
+    L4 = '{"elements":[6,9,12,15,16,18,19,21,22,24,25],"cofinal":27}'
+    for command in ("recover-gamma", "decide"):
+        calls.clear()
+        code, out = invoke(capsys, command, "--set", L4)
+        assert code == 0 and "error" not in out
+        assert len(calls) == 1, command
 
 
 def test_malformed_json_is_usage_error(capsys):

@@ -1,8 +1,8 @@
 import pytest
 
-from branchforms import (BranchParametrization, NumericalSemigroup, ValueSet,
-                         algorithm1_lambda, decide, from_semigroup,
-                         semigroup_of)
+from branchforms import (BranchParametrization, NumericalSemigroup,
+                         ValidationError, ValueSet, algorithm1_lambda, decide,
+                         from_semigroup, semigroup_of)
 from branchforms import strata
 
 L1 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 24, 25), 27)
@@ -28,6 +28,16 @@ def test_decision_quadruple():
     assert (d4.verdict, d4.stage) == ("yes", "matched")
     assert d4.witness is not None
     assert algorithm1_lambda(d4.witness).lambda_set == L4
+
+
+def test_empty_iterable_is_a_validation_error():
+    with pytest.raises(ValidationError):
+        decide([])
+
+
+def test_one_shot_iterator_reads_like_a_list():
+    # {2} together with [3, inf): the Lambda of the cusp <2,3>
+    assert decide(iter([2])).verdict == decide([2]).verdict == "yes"
 
 
 def test_gate_order_is_strict():

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from branchforms import (DomainError, NumericalSemigroup, ValidationError,
                          ValueSet, apery_profile, apery_set, b_sets,
-                         epsilon_eta, from_semigroup, is_covered,
-                         recover_gamma)
+                         epsilon_eta, from_semigroup, gamma_star_apery,
+                         is_covered, recover_gamma,
+                         semigroup_from_characteristic)
 from branchforms.jsonio import valueset_from_json
 
 # The running example: four candidate sets differing in a few elements.
@@ -154,3 +155,35 @@ def test_epsilon_eta_reaches_one_with_every_eta_at_least_two(s):
     assert eps[0] == s.min() and eps[-1] == 1 and len(eps) == rho + 1
     assert all(e >= 2 for e in eta[1:])
     assert all(eps[i - 1] == eta[i] * eps[i] for i in range(1, rho + 1))
+    # every Delta_i is long enough for its B_i
+    bs = b_sets(s)
+    ap = apery_set(s)
+    for i in range(1, rho + 1):
+        assert len(bs[i]) == eps[0] // eps[i - 1]
+        assert all(b in ap and b % eps[i] == 0 and b % eps[i - 1] != 0
+                   for b in bs[i])
+
+
+@st.composite
+def plane_semigroups(draw):
+    """<v_0, ..., v_g> of random characteristic exponents: n_i in {2, 3},
+    beta_0 = n_1...n_g, beta_i = beta_{i-1} + k*e_i with n_i not| k."""
+    n = draw(st.lists(st.sampled_from([2, 3]), max_size=3))
+    e = [1]
+    for ni in reversed(n):
+        e.insert(0, ni * e[0])
+    beta = [e[0]]
+    for i, ni in enumerate(n, start=1):
+        k = ni * draw(st.integers(0, 2)) + draw(st.integers(1, ni - 1))
+        beta.append(beta[-1] + k * e[i])
+    return semigroup_from_characteristic(beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_semigroups())
+def test_gamma_star_apery_of_a_plane_semigroup(gamma):
+    v, n = gamma.generators, gamma.n
+    sums = {0}
+    for vi, ni in zip(v[1:], n[1:]):
+        sums = {z + s * vi for z in sums for s in range(ni)}
+    assert gamma_star_apery(gamma) == sorted((sums - {0}) | {v[0]})
