@@ -18,19 +18,7 @@ from .errors import DomainError, ValidationError
 from .poly import coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
                         semigroup_from_characteristic)
-from .series import AbovePrecision, TruncatedSeries
-
-
-def _is_constant_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return True
-    return c.is_constant()
-
-
-def _constant_value(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    return Fraction(c.constant_value())
+from .series import TruncatedSeries
 
 
 class BranchParametrization:
@@ -179,20 +167,48 @@ class StandardBasisOf:
         return tuple(zip(*columns))
 
 
-def _cancel(target, lc, reducer, lp):
-    """Subtract a multiple of reducer from target so their leading terms cancel.
+def _cancel(target, reducer, o, cross=False):
+    """Combine target with reducer so that their terms at t^o cancel.
 
     target and reducer are tuples of whatever the caller tracks (always a
     pullback series, plus its polynomial or 1-form when those are read); one
-    linear combination is applied to every component.  lc and lp are the
-    leading coefficients of target and reducer.  When lp is constant this is
-    an ordinary subtraction; otherwise the target is cross-multiplied by lp
-    (nonzero under the run's assumptions), which preserves all orders.
+    linear combination is applied to every component.  With T, R the
+    pullbacks over their denominators t_den, r_den and t_c, r_c their
+    numerators at t^o, the new pullback has the numerators T*r_c - R*t_c,
+    integer arithmetic throughout, over
+
+    - t_den*r_c when r_c is a constant and cross is False: the value is
+      target - (t_c r_den / t_den r_c) * reducer, an ordinary subtraction;
+    - t_den*r_den otherwise: the value is lp*target - lc*reducer for the
+      true coefficients lc, lp at t^o, a cross-multiplication by lp
+      (nonzero under the run's assumptions), which preserves all orders.
+      The S-process of two entries is this step with cross=True.
+
+    `TruncatedSeries.lincomb` divides out the common factor, so the result
+    is the one canonical representation of its value.  The other
+    components, 1-forms and polynomials of a concrete run, take the same
+    combination with rational scalars.
     """
-    if _is_constant_coeff(lp):
-        lam = lc / _constant_value(lp)
-        return tuple(t - r.scale(lam) for t, r in zip(target, reducer))
-    return tuple(t.scale(lp) - r.scale(lc) for t, r in zip(target, reducer))
+    t, r = target[0], reducer[0]
+    tc, rc = t.coeffs[o], r.coeffs[o]
+    if not cross and not isinstance(rc, int) and rc.is_constant():
+        rc = rc.constant_value()
+    if not cross and isinstance(rc, int):
+        if rc < 0:
+            tc, rc = -tc, -rc
+        den = t.den * rc
+        pull = t.lincomb(rc, r, -tc, den)
+        if len(target) == 1:
+            return (pull,)
+        lam = Fraction(tc * r.den, den)
+        return (pull,) + tuple(x - y.scale(lam)
+                               for x, y in zip(target[1:], reducer[1:]))
+    pull = t.lincomb(rc, r, -tc, t.den * r.den)
+    if len(target) == 1:
+        return (pull,)
+    lc, lp = t.coeff(o), r.coeff(o)
+    return (pull,) + tuple(x.scale(lp) - y.scale(lc)
+                           for x, y in zip(target[1:], reducer[1:]))
 
 
 class _ProductCache:
@@ -265,9 +281,8 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
             if not member:
                 raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
             prod = cache.product(s)
-            plead = prod[0].leading()
-            assert not isinstance(plead, AbovePrecision) and plead[0] == o
-            h = _cancel(h, h[0].coeff(o), prod, plead[1])
+            assert prod[0].order() == o
+            h = _cancel(h, prod, o)
         lead = h[0].coeffs[target]
         if oracle is not None:
             oracle.is_zero(lead)  # called only to record a split

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every subcommand prints exactly one JSON document to stdout, newline
-terminated.  Exit codes: 0 success, 1 domain error or exhausted memory
-(with an error JSON on stdout), 2 usage or malformed input, argparse's own
+terminated.  Exit codes: 0 success, 1 domain error, exhausted memory or a
+number too large (a generator or exponent beyond a machine index, a
+polynomial exponent of 2^31 or more), with an error JSON on stdout, 2 usage or malformed input, argparse's own
 usage errors (an unknown flag or subcommand, a missing argument) included,
 all with {"error": "usage", "detail": ...} on stdout.  Only --help prints
 plain text.
@@ -193,6 +194,9 @@ def run(argv=None):
         return 1
     except MemoryError:
         print(json.dumps({"error": args.command, "detail": "out of memory"}))
+        return 1
+    except OverflowError:
+        print(json.dumps({"error": args.command, "detail": "number too large"}))
         return 1
     print(json.dumps(result))
     return 0

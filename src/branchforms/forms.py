@@ -248,9 +248,8 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
             return _entry(elem, value)
         entry, delta = reducer
         red = _times(cache.product(delta), entry)
-        rlead = red[0].leading()
-        assert not isinstance(rlead, AbovePrecision) and rlead[0] == o
-        elem = _cancel(elem, pull.coeff(o), red, rlead[1])
+        assert red[0].order() == o
+        elem = _cancel(elem, red, o)
         o += 1
 
 
@@ -306,11 +305,8 @@ def algorithm1_core(sb, oracle=None):
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
         sp = _times(cache.product(alpha), entries[p])
         sq = _times(cache.product(gamma_v), entries[q])
-        lp = sp[0].leading()
-        lq = sq[0].leading()
-        assert not isinstance(lp, AbovePrecision) and lp[0] == m - 1
-        assert not isinstance(lq, AbovePrecision) and lq[0] == m - 1
-        s = tuple(a.scale(lq[1]) - b.scale(lp[1]) for a, b in zip(sp, sq))
+        assert sp[0].order() == sq[0].order() == m - 1
+        s = _cancel(sp, sq, m - 1, cross=True)
         result = reduce_form(s, entries, gamma, bound, cache, oracle)
         if result is not None:
             entries.append(result)

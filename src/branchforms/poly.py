@@ -7,18 +7,35 @@ parametrization into them.  In a parametric run over a normal-form family
 every series coefficient is a polynomial in the family parameters a_i.
 Zero testing is syntactic; deciding whether a non-constant coefficient
 vanishes is the job of the case splitting in `strata`.
+
+A polynomial keeps its terms in a dict keyed by one int per monomial
+(packed exponent vectors, Monagan & Pearce 2007): the exponents sit
+most-significant-first in one 32-bit field per variable of the ring, whose
+top bit is a guard.  So a monomial product is one integer addition, and
+as long as no field reaches its guard bit, int order on the keys is
+lexicographic order on the exponent tuples, which `__str__`,
+`normalized` and the factor order read.  Every exponent stays below 2^31:
+a product checks its result keys against the ring's guard mask and
+raises OverflowError rather than carry into the next field.  The
+constructor and the `terms` view speak exponent tuples; only the hot
+paths, and the fused series kernels of `Ring`, touch packed keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from operator import add
+from functools import lru_cache, reduce
+from itertools import chain
+from math import gcd, lcm
+from operator import or_
 
 from .series import TruncatedSeries
 
 COORD_NAMES = ("x", "y", "z", "w")
+
+_BITS = 32
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 
 def _exact(q):
@@ -30,40 +47,189 @@ def _exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _overflow():
+    return OverflowError(f"polynomial exponent above {MAX_EXPONENT}")
+
+
 class Ring:
     """A polynomial ring Q[v_1, ..., v_k] with a fixed ordered variable list.
 
-    Arithmetic requires both operands to live in the same Ring object."""
+    Arithmetic requires both operands to live in the same Ring object.
+    Variable i owns the 32-bit field at bit `_shifts[i]` of a packed key;
+    `_mask` holds the guard bit of every field."""
 
     def __init__(self, names):
         self.names = tuple(names)
         self.index = {n: i for i, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ValueError("duplicate variable names")
-        self._zero_exp = (0,) * len(self.names)
+        k = len(self.names)
+        self._shifts = tuple(_BITS * (k - 1 - i) for i in range(k))
+        self._mask = sum((MAX_EXPONENT + 1) << s for s in self._shifts)
 
     def __repr__(self):
         return f"Ring({list(self.names)!r})"
 
+    # -- packed monomials --------------------------------------------------
+
+    def _pack(self, exps):
+        if len(exps) != len(self.names):
+            raise ValueError("exponent tuple does not match the variable count")
+        key = 0
+        for d in exps:
+            if d < 0:
+                raise ValueError("negative exponent")
+            if d > MAX_EXPONENT:
+                raise _overflow()
+            key = key << _BITS | d
+        return key
+
+    def _unpack(self, key):
+        return tuple(key >> s & _FIELD for s in self._shifts)
+
+    def _check(self, dicts):
+        """Raise OverflowError when a key of the packed dicts has a guard
+        bit set."""
+        if self._mask and reduce(or_, chain.from_iterable(dicts), 0) & self._mask:
+            raise _overflow()
+
+    # -- elements ------------------------------------------------------------
+
     def zero(self):
-        return Poly(self, {})
+        return Poly._new(self, {})
 
     def one(self):
         return self.constant(1)
 
     def constant(self, c):
         c = _exact(Fraction(c))
-        if c == 0:
-            return self.zero()
-        return Poly(self, {self._zero_exp: c})
+        return Poly._new(self, {0: c} if c else {})
 
     def gen(self, name):
-        exp = [0] * len(self.names)
-        exp[self.index[name]] = 1
-        return Poly(self, {tuple(exp): 1})
+        return Poly._new(self, {1 << self._shifts[self.index[name]]: 1})
 
     def gens(self):
         return [self.gen(n) for n in self.names]
+
+    # -- fused kernels for series with numerators in this ring ----------------
+
+    def _element(self, terms):
+        """A numerator from packed terms (or None): 0, an int when
+        constant, else a Poly."""
+        if not terms:
+            return 0
+        if len(terms) == 1 and 0 in terms:
+            return terms[0]
+        return Poly._new(self, terms)
+
+    def series_mul(self, xs, ys, p):
+        """The first p numerators of the product of two numerator lists,
+        each an int or a Poly of this ring.  Term products accumulate
+        straight into one packed dict per output degree."""
+        acc = [None] * p
+        right = [(j, y._t.items() if y.__class__ is Poly else ((0, y),))
+                 for j, y in enumerate(ys[:p]) if y]
+        for i, x in enumerate(xs[:p]):
+            if not x:
+                continue
+            lim = p - i
+            left = tuple(x._t.items()) if x.__class__ is Poly else ((0, x),)
+            kx0, cx0 = left[0]
+            for j, yt in right:
+                if j >= lim:
+                    break
+                d = acc[i + j]
+                rest = left
+                if d is None:
+                    # a monomial times a polynomial has distinct terms
+                    d = acc[i + j] = {kx0 + ky: cx0 * cy for ky, cy in yt}
+                    rest = left[1:]
+                get = d.get
+                for kx, cx in rest:
+                    for ky, cy in yt:
+                        k = kx + ky
+                        d[k] = get(k, 0) + cx * cy
+        for i, d in enumerate(acc):
+            if d and 0 in d.values():
+                acc[i] = {k: c for k, c in d.items() if c}
+        self._check(filter(None, acc))
+        return [self._element(d) for d in acc]
+
+    def series_lincomb(self, xs, a, ys, b, den):
+        """(numerators, den') of a*x + b*y over den for the numerator lists
+        xs, ys, each entry and a, b an int or a Poly of this ring, with the
+        common factor of den and every integer coefficient divided out.
+
+        In a cancel step the int a (the reducer's leading numerator)
+        usually shares a factor h with den and with every b*y, and then
+        the combination is (a/h)*x + (b*y)/h over den/h, so the long
+        target x is copied rather than multiplied by a and divided again.
+        h is found before any product: by Gauss's lemma the content of
+        b*y is content(b)*content(y), so h = gcd(a, den, content(b) *
+        content(ys)), and it divides every single term product."""
+        at, bt = tuple(_items(a)), tuple(_items(b))
+        hy = 1
+        if not isinstance(a, Poly) and a != 1 and den != 1:
+            h = gcd(a, den)
+            if h != 1:
+                cb = gcd(*(c for _, c in bt))
+                cy = 0
+                for y in ys:
+                    if y:
+                        cy = gcd(cy, *(c for _, c in _items(y)))
+                        if gcd(h, cb * cy) == 1:
+                            break
+                h = gcd(h, cb * cy)
+                if h != 1:
+                    hb = gcd(h, cb)
+                    hy = h // hb
+                    a //= h
+                    den //= h
+                    at = tuple(_items(a))
+                    bt = tuple((k, c // hb) for k, c in bt)
+        a_poly = isinstance(a, Poly)
+        if a_poly:
+            ka0, ca0 = at[0]
+        acc = []
+        for x, y in zip(xs, ys):
+            if not x:
+                d = {}
+            elif a_poly:
+                xt = tuple(_items(x))
+                d = {kx + ka0: cx * ca0 for kx, cx in xt}
+                get = d.get
+                for ka, ca in at[1:]:
+                    for kx, cx in xt:
+                        k = kx + ka
+                        d[k] = get(k, 0) + cx * ca
+            elif x.__class__ is int:
+                d = {0: x * a}
+            elif a == 1:
+                d = dict(x._t)
+            else:
+                d = {k: c * a for k, c in x._t.items()}
+            if y:
+                get = d.get
+                for ky, cy in _items(y):
+                    if hy != 1:
+                        cy //= hy
+                    for kb, cb in bt:
+                        k = ky + kb
+                        d[k] = get(k, 0) + cy * cb
+            if 0 in d.values():
+                d = {k: c for k, c in d.items() if c}
+            acc.append(d)
+        self._check(acc)
+        if den != 1:
+            g = den
+            for d in acc:
+                g = gcd(g, *d.values())
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                acc = [{k: c // g for k, c in d.items()} for d in acc]
+        return [self._element(d) for d in acc], den
 
 
 @lru_cache(maxsize=None)
@@ -75,40 +241,69 @@ def coordinate_ring(nvars):
     return Ring(f"x{i}" for i in range(nvars))
 
 
-class Poly:
-    """Sparse polynomial: dict from exponent tuple to nonzero rational, an
-    int when integral and a Fraction otherwise.  The constructor takes the
-    dict as given; callers drop zero terms themselves."""
+def _items(c):
+    """The packed terms of an int or a Poly."""
+    if isinstance(c, Poly):
+        return c._t.items()
+    return ((0, c),) if c else ()
 
-    __slots__ = ("ring", "terms", "_hash")
+
+class Poly:
+    """Sparse polynomial: nonzero rational coefficients, an int when
+    integral and a Fraction otherwise, keyed by packed monomials (see the
+    module docstring).  The constructor takes a dict from exponent tuple
+    to coefficient; callers drop zero terms themselves."""
+
+    __slots__ = ("ring", "_t", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms
+        self._t = {ring._pack(e): c for e, c in terms.items()}
         self._hash = None
+
+    @classmethod
+    def _new(cls, ring, packed):
+        p = object.__new__(cls)
+        p.ring = ring
+        p._t = packed
+        p._hash = None
+        return p
+
+    @property
+    def terms(self):
+        """The terms as a fresh dict from exponent tuple to coefficient."""
+        unpack = self.ring._unpack
+        return {unpack(k): c for k, c in self._t.items()}
 
     # -- basic predicates -------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def constant_value(self):
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[self.ring._zero_exp]
+        return self._t[0]
+
+    @property
+    def denominator(self):
+        """Least positive int m with m*self integral, as for a Fraction."""
+        return lcm(*(c.denominator for c in self._t.values()))
+
+    def integral(self, m):
+        """m*self with int coefficients, for m a multiple of `denominator`."""
+        return Poly._new(self.ring, {k: c.numerator * (m // c.denominator)
+                                     for k, c in self._t.items()})
 
     def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, d in enumerate(e):
-                if d:
-                    used.add(self.ring.names[i])
-        return used
+        used = reduce(or_, self._t, 0)
+        return {n for n, s in zip(self.ring.names, self.ring._shifts)
+                if used >> s & _FIELD}
 
     # -- equality / hashing ------------------------------------------------
 
@@ -117,11 +312,11 @@ class Poly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return self.ring is other.ring and self._t == other._t
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash(frozenset(self._t.items()))
         return self._hash
 
     # -- arithmetic ---------------------------------------------------------
@@ -141,19 +336,19 @@ class Poly:
         if isinstance(other, Poly):
             if other.ring is not self.ring:
                 raise ValueError("mixed polynomial rings")
-            items = other.terms.items()
+            items = other._t.items()
         elif isinstance(other, (int, Fraction)):
-            items = ((self.ring._zero_exp, _exact(other)),)
+            items = ((0, _exact(other)),)
         else:
             return NotImplemented
-        terms = dict(self.terms)
+        terms = dict(self._t)
         for e, c in items:
             s = terms.get(e, 0) + c if sign > 0 else terms.get(e, 0) - c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return Poly._new(self.ring, terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -161,7 +356,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._new(self.ring, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -171,29 +366,31 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other or not self.terms:
+            if not other or not self._t:
                 return self.ring.zero()
             if isinstance(other, Fraction):
                 if other.denominator != 1:
-                    return Poly(self.ring, {e: _exact(c * other)
-                                            for e, c in self.terms.items()})
+                    return Poly._new(self.ring, {e: _exact(c * other)
+                                                 for e, c in self._t.items()})
                 other = other.numerator
-            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
+            return Poly._new(self.ring, {e: c * other for e, c in self._t.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self._t or not other._t:
             return self.ring.zero()
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+        right = other._t.items()
+        for e1, c1 in self._t.items():
+            for e2, c2 in right:
+                e = e1 + e2
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     del terms[e]
-        return Poly(self.ring, terms)
+        self.ring._check((terms,))
+        return Poly._new(self.ring, terms)
 
     # scale(c) is the scalar product, as for series and 1-forms.
     __rmul__ = scale = __mul__
@@ -204,13 +401,8 @@ class Poly:
                 raise ValueError("can only divide by a constant")
             other = other.constant_value()
         other = Fraction(other)
-        return Poly(self.ring,
-                    {e: _exact(c / other) for e, c in self.terms.items()})
-
-    def __floordiv__(self, k):
-        """self / k for an int k that divides every coefficient, as a
-        series divides its numerators by their common factor."""
-        return Poly(self.ring, {e: c // k for e, c in self.terms.items()})
+        return Poly._new(self.ring,
+                         {e: _exact(c / other) for e, c in self._t.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -226,13 +418,14 @@ class Poly:
 
     def partial(self, i):
         """Partial derivative with respect to variable i."""
+        s = self.ring._shifts[i]
+        unit = 1 << s
         terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                d = list(e)
-                d[i] -= 1
-                terms[tuple(d)] = c * e[i]
-        return Poly(self.ring, terms)
+        for e, c in self._t.items():
+            d = e >> s & _FIELD
+            if d:
+                terms[e - unit] = c * d
+        return Poly._new(self.ring, terms)
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -260,11 +453,13 @@ class Poly:
     def eval(self, point):
         """Evaluate at a rational point given as {name: Fraction}."""
         total = Fraction(0)
-        for e, c in self.terms.items():
+        fields = tuple(zip(self.ring.names, self.ring._shifts))
+        for key, c in self._t.items():
             val = c
-            for i, d in enumerate(e):
+            for name, s in fields:
+                d = key >> s & _FIELD
                 if d:
-                    val *= Fraction(point[self.ring.names[i]]) ** d
+                    val *= Fraction(point[name]) ** d
             total += val
         return total
 
@@ -300,22 +495,21 @@ class Poly:
 
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
+        if not self._t:
             return Fraction(1)
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in self._t.values():
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
     def normalized(self):
         """Divide by content and fix the sign of the lexicographically leading term."""
-        if not self.terms:
+        if not self._t:
             return self
         p = self / self.content()
-        lead = max(p.terms)
-        if p.terms[lead] < 0:
+        if p._t[max(p._t)] < 0:
             p = -p
         return p
 
@@ -344,11 +538,12 @@ class Poly:
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for key in sorted(self._t, reverse=True):
+            c = self._t[key]
+            e = self.ring._unpack(key)
             factors = []
             for i, d in enumerate(e):
                 if d == 1:

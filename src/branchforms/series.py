@@ -6,14 +6,26 @@ numerators over one positive integer denominator per series: rationals in
 concrete mode are lifted to int numerators over the lcm of their
 denominators, and over a family a `poly.Poly` coefficient in the
 parameters is lifted the same way, to a Poly numerator with int
-coefficients over the lcm of its coefficients' denominators.  A product
-multiplies the two denominators, a sum brings both to their lcm and
-divides out the common factor of the new denominator and every integer
-coefficient of the numerators, and scaling by c multiplies the numerators
-by the integral m*c and the denominator by the least m that makes m*c
-integral.  So a run does integer arithmetic per coefficient, concrete or
-parametric, and touches a Fraction only for the one scalar of each cancel
-step; `coeff(i)` and `leading()` give the true values.
+coefficients over the lcm of its coefficients' denominators.
+
+A series over a family carries the parameter `Ring` of its Poly
+numerators (`ring`, None for int numerators), set where it is built and
+passed on by every operation, so no product scans its coefficients to
+choose a path.  Int numerators take plain list arithmetic; Poly numerators
+go through the ring's fused kernels, which accumulate term products of
+packed monomials straight into one dict per output coefficient and build
+no intermediate Poly.
+
+A product multiplies the two denominators.  A linear combination
+a*S + b*T of numerators (`lincomb`, behind + and -, the leading-term
+cancel step and the S-process) takes a denominator from its caller and
+divides out the common factor of it and every integer coefficient of the
+new numerators, which leaves the least denominator: so its result is
+canonical, whatever scalar multiples its inputs carried.  Scaling by c
+multiplies the numerators by the integral m*c and the denominator by the
+least m that makes m*c integral.  So series arithmetic is integer
+arithmetic throughout, concrete or parametric; `coeff(i)` and `leading()`
+give the true values.
 
 Zero tests here are syntactic and read the numerators; a parametric run
 decides the vanishing of a coefficient through its constraint oracle
@@ -29,31 +41,21 @@ from math import gcd, lcm
 from .errors import PrecisionError
 
 
-def _den(c):
-    """Least positive int m with m*c integral, for c an int, a Fraction or
-    a Poly."""
-    if isinstance(c, (int, Fraction)):
-        return c.denominator
-    return lcm(*(v.denominator for v in c.terms.values()))
-
-
 def _integral(c, m):
-    """m*c with int coefficients, for m a multiple of _den(c)."""
+    """m*c with int coefficients, for c an int, a Fraction or a Poly and m
+    a multiple of c.denominator."""
     if isinstance(c, (int, Fraction)):
         return c.numerator * (m // c.denominator)
-    return type(c)(c.ring, {e: v.numerator * (m // v.denominator)
-                            for e, v in c.terms.items()})
+    return c.integral(m)
 
 
-def _content(g, nums):
-    """gcd of g and every integer coefficient of the numerators nums, each
-    an int or a Poly with int coefficients."""
-    for c in nums:
-        for v in (c,) if isinstance(c, int) else c.terms.values():
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
+def _common_ring(s, t):
+    """The parameter ring of two series' numerators, None when both hold ints."""
+    if s.ring is None or s.ring is t.ring:
+        return t.ring
+    if t.ring is not None:
+        raise ValueError("mixed polynomial rings")
+    return s.ring
 
 
 class AbovePrecision:
@@ -81,12 +83,14 @@ class TruncatedSeries:
     """Numerators coeffs[0..precision-1] over one positive integer den.
 
     The coefficient of t^i is coeffs[i] / den (`coeff(i)`); a numerator is
-    zero exactly when its coefficient is, so zero tests read coeffs.
+    zero exactly when its coefficient is, so zero tests read coeffs.  ring
+    is the Ring of the Poly numerators, or None when every numerator is an
+    int.
     """
 
-    __slots__ = ("coeffs", "den", "precision")
+    __slots__ = ("coeffs", "den", "precision", "ring")
 
-    def __init__(self, coeffs, precision, den=1):
+    def __init__(self, coeffs, precision, den=1, ring=None):
         coeffs = tuple(coeffs)
         if len(coeffs) != precision:
             raise ValueError("coefficient list does not match precision")
@@ -95,6 +99,7 @@ class TruncatedSeries:
         self.coeffs = coeffs
         self.den = den
         self.precision = precision
+        self.ring = ring
 
     # -- constructors ------------------------------------------------------
 
@@ -114,14 +119,14 @@ class TruncatedSeries:
                 raise ValueError("negative exponent")
             if e < precision:
                 coeffs[e] = coeffs[e] + c
-        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-            den = lcm(*map(_den, coeffs))
-            return TruncatedSeries([_integral(c, den) for c in coeffs], precision, den)
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return TruncatedSeries(
-            [c.numerator * (den // c.denominator) for c in coeffs], precision, den)
+        ring = next((c.ring for c in coeffs
+                     if not isinstance(c, (int, Fraction))), None)
+        den = lcm(*(c.denominator for c in coeffs))
+        if ring is None:
+            return TruncatedSeries(
+                [c.numerator * (den // c.denominator) for c in coeffs], precision, den)
+        return TruncatedSeries([_integral(c, den) for c in coeffs],
+                               precision, den, ring)
 
     @staticmethod
     def monomial(exponent, coefficient, precision):
@@ -129,39 +134,38 @@ class TruncatedSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _combine(self, other, sign):
-        """self + sign * other over the lcm of the two denominators, with
-        the common factor of the new denominator and numerators (their
-        integer coefficients, for Poly numerators) divided out."""
+    def lincomb(self, a, other, b, den):
+        """The series with numerators a*x + b*y over den, for x, y the
+        numerators of self and other and a, b ints (Polys too over a
+        family), with the common factor of den and every integer
+        coefficient of the new numerators divided out.  The caller picks
+        den, so the true value is (a*x + b*y)/den."""
         p = min(self.precision, other.precision)
-        a, b = self.coeffs[:p], other.coeffs[:p]
-        da, db = self.den, other.den
-        den = da
-        if da != db:
-            den = lcm(da, db)
-            ma, mb = den // da, den // db
-            if ma != 1:
-                a = [c * ma for c in a]
-            if mb != 1:
-                b = [c * mb for c in b]
-        if sign > 0:
-            out = [x + y for x, y in zip(a, b)]
+        xs, ys = self.coeffs[:p], other.coeffs[:p]
+        ring = _common_ring(self, other)
+        if ring is not None:
+            out, den = ring.series_lincomb(xs, a, ys, b, den)
+            return TruncatedSeries(out, p, den, ring)
+        if a != 1:
+            xs = [a * x for x in xs]
+        if b == 1:
+            out = [x + y for x, y in zip(xs, ys)]
+        elif b == -1:
+            out = [x - y for x, y in zip(xs, ys)]
         else:
-            out = [x - y for x, y in zip(a, b)]
+            out = [x + b * y for x, y in zip(xs, ys)]
         if den != 1:
-            g = den
-            try:
-                for c in out:
-                    if c:
-                        g = gcd(g, c)
-                        if g == 1:
-                            break
-            except TypeError:
-                g = _content(g, out)    # Poly numerators
+            g = gcd(den, *out)
             if g != 1:
                 den //= g
                 out = [c // g for c in out]
         return TruncatedSeries(out, p, den)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        return self.lincomb(den // da, other, sign * (den // db), den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -172,6 +176,10 @@ class TruncatedSeries:
     def __mul__(self, other):
         # Both operands have order >= 0, so min precision is safe.
         p = min(self.precision, other.precision)
+        ring = _common_ring(self, other)
+        if ring is not None:
+            return TruncatedSeries(ring.series_mul(self.coeffs, other.coeffs, p),
+                                   p, self.den * other.den, ring)
         out = [0] * p
         for i, a in enumerate(self.coeffs[:p]):
             if not a:
@@ -184,17 +192,18 @@ class TruncatedSeries:
     def scale(self, c):
         if not c:
             return TruncatedSeries.zero(self.precision)
-        den = self.den
+        den, ring = self.den, self.ring
         if isinstance(c, Fraction):
             den *= c.denominator
             c = c.numerator
         elif not isinstance(c, int):
-            m = _den(c)     # a Poly: scale by the integral m*c over m
+            ring = c.ring   # a Poly: scale by the integral m*c over m
+            m = c.denominator
             if m != 1:
                 den *= m
-                c = _integral(c, m)
+                c = c.integral(m)
         return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
-                               self.precision, den)
+                               self.precision, den, ring)
 
     def __pow__(self, k):
         if k < 0:
@@ -215,7 +224,7 @@ class TruncatedSeries:
         return TruncatedSeries(
             [(i + 1) * self.coeffs[i + 1] if self.coeffs[i + 1] else 0
              for i in range(self.precision - 1)],
-            self.precision - 1, self.den)
+            self.precision - 1, self.den, self.ring)
 
     def coeff(self, i):
         """The true coefficient of t^i."""
@@ -244,7 +253,8 @@ class TruncatedSeries:
     def truncate(self, precision):
         if precision >= self.precision:
             return self
-        return TruncatedSeries(self.coeffs[:precision], precision, self.den)
+        return TruncatedSeries(self.coeffs[:precision], precision, self.den,
+                               self.ring)
 
     def map_coeffs(self, fn):
         """Apply a ring homomorphism fn (one that fixes the integers, such

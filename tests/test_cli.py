@@ -381,3 +381,33 @@ def test_exhausted_memory_is_an_error_json(capsys, monkeypatch):
                        '{"elements":[],"cofinal":10}')
     assert code == 1
     assert out == {"error": "decide", "detail": "out of memory"}
+
+
+HUGE = 10000000000000000000
+HUGE_BRANCH = json.dumps({"n": 2, "y": [[HUGE + 1, "1"]]})
+HUGE_SET = json.dumps({"elements": [HUGE], "cofinal": HUGE + 1})
+X_DX = '{"d":[["x",[[%d,0,"1"]]],["y",[]]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--gens", f"{HUGE},{HUGE + 1}"],
+    ["semigroup", "--branch", HUGE_BRANCH],
+    ["lambda", "--branch", HUGE_BRANCH],
+    ["eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}', "--precision", str(HUGE),
+     "--form", X_DX % 1],
+    ["eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}', "--form", X_DX % 2 ** 31],
+    ["recover-gamma", "--set", HUGE_SET],
+    ["decide", "--set", HUGE_SET],
+], ids=["semigroup-gens", "semigroup-branch", "lambda", "eval-form-precision",
+        "eval-form-exponent", "recover-gamma", "decide"])
+def test_numbers_too_large_are_an_error_json(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 1
+    assert out == {"error": argv[0], "detail": "number too large"}
+
+
+def test_large_form_exponent_below_the_bound_is_evaluated(capsys):
+    code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+                       "--form", X_DX % 1000000)
+    assert code == 0
+    assert out == {"value": 2000002}

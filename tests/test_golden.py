@@ -30,7 +30,7 @@ from branchforms.jsonio import form_to_json, report_to_json
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 STRATIFY_CLASSES = [(6, 9, 19), (6, 9, 23), (6, 14, 45), (7, 9), (5, 7),
-                    (4, 9), (5, 8)]
+                    (4, 9), (5, 8), (6, 13), (8, 12, 26, 53), (6, 15, 31)]
 
 RUNNING_EXAMPLE = [
     {9: 1, 10: 1},

@@ -119,7 +119,7 @@ def test_exact_division_gives_ints():
     assert all(type(c) is int for c in q.terms.values())
     h = (3 * a + 1) / 2
     assert h.terms[next(iter(a.terms))] == Fraction(3, 2)
-    assert type(h.terms[R._zero_exp]) is Fraction
+    assert type(h.terms[(0, 0, 0)]) is Fraction
     assert type((18 * a - 36).linear_solve("a").constant_value()) is int
 
 

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branchforms import (BranchParametrization, Poly, Ring, coordinate_ring,
-                         differential, eval_form_order)
+from branchforms import (BranchParametrization, Poly, Ring, TruncatedSeries,
+                         coordinate_ring, differential, eval_form_order)
 from branchforms.jsonio import form_from_json, form_to_json
 from branchforms.params import ParamPoly, ParamRing
+from branchforms.poly import MAX_EXPONENT
 
 
 def test_one_polynomial_class():
@@ -38,6 +42,11 @@ def test_mixed_rings_are_rejected():
         x.scale(a)
     with pytest.raises(ValueError):
         x - a
+    sx, sa = (TruncatedSeries.from_terms([(0, p)], 2) for p in (x, a))
+    with pytest.raises(ValueError):
+        sx * sa
+    with pytest.raises(ValueError):
+        sa - sx
 
 
 @pytest.mark.parametrize("r", [0, 3, Fraction(6, 2), Fraction(-1, 2)])
@@ -74,3 +83,139 @@ def test_form_json_drops_zero_terms():
     assert not a and a.terms == {}
     assert b.terms == {(0, 1): 2} and type(b.terms[(0, 1)]) is int
     assert form_to_json(form) == {"d": [["x", []], ["y", [[0, 1, "2"]]]]}
+
+
+# -- packed monomials against a tuple-keyed reference --------------------------
+
+ABC = Ring(("a", "b", "c"))
+ref_coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3))
+ref_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), ref_coeffs,
+                            max_size=4)
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(p, k):
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_subs(p, mapping):
+    """Substitute ref polynomials for some variables, by the definition."""
+    out = {}
+    for e, c in p.items():
+        term = {(0, 0, 0): c}
+        for i, d in enumerate(e):
+            name = ABC.names[i]
+            unit = tuple(int(j == i) for j in range(3))
+            term = ref_mul(term, ref_pow(mapping.get(name, {unit: 1}), d))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_partial(p, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
+
+
+def ref_str(p):
+    """The rendering rule of `Poly.__str__`, over sorted exponent tuples."""
+    if not p:
+        return "0"
+    parts = []
+    for e in sorted(p, reverse=True):
+        c = p[e]
+        mono = "*".join(n if d == 1 else f"{n}^{d}"
+                        for n, d in zip(ABC.names, e) if d)
+        if not mono:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(("-" if c < 0 else "") + mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    out = parts[0]
+    for s in parts[1:]:
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
+
+
+def ref_normalized(p):
+    if not p:
+        return p
+    num = den = 0
+    for c in p.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den or 1, c.denominator)
+    q = {e: c * den / num for e, c in p.items()}
+    return {e: -c for e, c in q.items()} if q[max(q)] < 0 else q
+
+
+def as_ref(p):
+    """A Poly's terms as the reference sees them, after checking that no
+    zero term is kept."""
+    assert all(p.terms.values())
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def make(ref):
+    return Poly(ABC, {e: c.numerator if c.denominator == 1 else c
+                      for e, c in ref.items()})
+
+
+@settings(max_examples=120, deadline=None)
+@given(ref_polys, ref_polys, st.integers(0, 3), st.integers(0, 2), ref_polys,
+       ref_coeffs)
+def test_packed_poly_matches_tuple_reference(p, q, k, i, r, c):
+    P, Q = make(p), make(q)
+    assert as_ref(P) == p and as_ref(Q) == q
+    assert as_ref(P + Q) == ref_add(p, q)
+    assert as_ref(P - Q) == ref_add(p, q, -1)
+    assert as_ref(P * Q) == ref_mul(p, q)
+    assert as_ref(P ** k) == ref_pow(p, k)
+    assert as_ref(P.partial(i)) == ref_partial(p, i)
+    mapping = {"b": r, "c": {(0, 0, 0): c}}
+    assert as_ref(P.subs({"b": make(r), "c": c})) == ref_subs(p, mapping)
+    assert str(P) == ref_str(p) and str(Q) == ref_str(q)
+    assert as_ref(P.normalized()) == ref_normalized(p)
+    assert (P == Q) == (p == q)
+    assert P == make(dict(reversed(list(p.items()))))
+    assert hash(P) == hash(make(dict(reversed(list(p.items())))))
+    assert P.variables() == {n for e in p for n, d in zip(ABC.names, e) if d}
+
+
+def test_exponents_stop_below_the_guard_bit():
+    top = MAX_EXPONENT
+    assert top == 2 ** 31 - 1
+    a, b, c = ABC.gens()
+    # just below the bound every field is exact, its neighbours untouched
+    high = (a ** 2 ** 30 + b) * (a ** (2 ** 30 - 1) * c ** 7 + 1)
+    assert high.terms == {(top, 0, 7): 1, (2 ** 30, 0, 0): 1,
+                          (2 ** 30 - 1, 1, 7): 1, (0, 1, 0): 1}
+    assert str(a ** top * b) == f"a^{top}*b"
+    assert Poly(ABC, {(0, top, 0): 1}) == b ** top
+    # a product reaching 2^31 raises, whatever the other fields hold
+    for p, q in ((a ** 2 ** 30, a ** 2 ** 30), (high, a), (b ** top, b * c),
+                 (c ** top, c)):
+        with pytest.raises(OverflowError):
+            p * q
+    with pytest.raises(OverflowError):
+        a ** 2 ** 31
+    with pytest.raises(OverflowError):
+        Poly(ABC, {(2 ** 31, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(ABC, {(1, -1, 0): 1})

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchforms import AbovePrecision, Poly, PrecisionError, Ring, TruncatedSeries
+from branchforms.branch import _cancel
 
 
 def series(terms, precision=20):
@@ -220,3 +222,91 @@ def test_poly_numerators_match_poly_reference(a, b, c, q, k):
     point = {"a": Fraction(1, 2), "b": Fraction(-2, 3)}
     at = sa.scale(q).map_coeffs(lambda x: x.eval(point) if isinstance(x, Poly) else x)
     assert poly_values(at + at) == [2 * q * x.eval(point) for x in a]
+
+
+# -- fused products and the fraction-free cancel on mixed numerators ---------
+
+mixed_values = st.lists(polys | fracs, min_size=2, max_size=6)
+
+
+def canonical(values):
+    """(numerators, den) of true coefficient values over their least
+    common denominator: the one representation a reduced series has."""
+    den = lcm(*(v.denominator for v in values))
+    return [v * den for v in values], den
+
+
+def numerators_match(s, values):
+    nums, den = canonical(values)
+    assert s.den == den
+    assert list(s.coeffs) == nums
+    for c in s.coeffs:
+        assert type(c) is int or (not c.is_constant() and all(
+            type(v) is int and v for v in c.terms.values()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_values, mixed_values)
+def test_fused_product_matches_generic_numerators(a, b):
+    sa = TruncatedSeries.from_terms(enumerate(a), len(a))
+    sb = TruncatedSeries.from_terms(enumerate(b), len(b))
+    assert sa.ring is (PARAMS if any(isinstance(x, Poly) for x in a) else None)
+    prod = sa * sb
+    p = min(len(a), len(b))
+    # the generic reference: one Poly product and one sum per term pair
+    generic = [sum((x * y for x, y in zip(sa.coeffs[:k + 1], sb.coeffs[k::-1])
+                    if x and y), 0) for k in range(p)]
+    assert prod.den == sa.den * sb.den
+    assert list(prod.coeffs) == generic
+    for c in prod.coeffs:
+        assert type(c) is int or (not c.is_constant() and all(
+            type(v) is int and v for v in c.terms.values()))
+    assert poly_values(prod) == poly_mul(a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_values, mixed_values, st.data())
+def test_fraction_free_cancel_matches_rational_reference(a, b, data):
+    p = min(len(a), len(b))
+    hits = [i for i in range(p) if b[i]]
+    if not hits:
+        return
+    o = data.draw(st.sampled_from(hits))
+    t = TruncatedSeries.from_terms(enumerate(a), len(a))
+    r = TruncatedSeries.from_terms(enumerate(b), len(b))
+    lc, lp = a[o], b[o]
+    constant = not isinstance(lp, Poly) or lp.is_constant()
+    if constant:
+        lam = lc * (1 / Fraction(lp if not isinstance(lp, Poly)
+                                 else lp.constant_value()))
+        want = [x - lam * y for x, y in zip(a, b)]
+    else:
+        want = [x * lp - y * lc for x, y in zip(a, b)]
+    (got,) = _cancel((t,), (r,), o)
+    assert not got.coeffs[o]
+    numerators_match(got, want)
+    (sp,) = _cancel((t,), (r,), o, cross=True)
+    numerators_match(sp, [x * lp - y * lc for x, y in zip(a, b)])
+
+
+def test_fused_kernels_check_the_guard_bit():
+    a = PARAMS.gen("a")
+    s = TruncatedSeries.from_terms([(0, a ** 2 ** 30), (1, 1)], 3)
+    below = TruncatedSeries.from_terms([(0, a ** (2 ** 30 - 1)), (2, a)], 3)
+    assert (s * below).coeffs == (a ** (2 ** 31 - 1), a ** (2 ** 30 - 1),
+                                  a ** (2 ** 30 + 1))
+    with pytest.raises(OverflowError):
+        s * s
+    with pytest.raises(OverflowError):
+        s.lincomb(1, below, a ** (2 ** 30 + 1), 1)
+
+
+def test_cancelled_terms_leave_no_zero_entry():
+    # (a + b)(a - b): the a*b terms cancel inside one product, also where
+    # the reducer's numerator is zero
+    a, b = PARAMS.gens()
+    t = TruncatedSeries.from_terms([(0, a + b), (1, a + b)], 2)
+    r = TruncatedSeries.from_terms([(0, a - b)], 2)
+    (sp,) = _cancel((t,), (r,), 0, cross=True)
+    assert sp.coeffs == (0, a * a - b * b)
+    assert sp.coeffs[1].terms == {(2, 0): 1, (0, 2): -1}
