@@ -89,10 +89,7 @@ def branch_from_json(obj):
 
 
 def _poly_to_json(p):
-    out = []
-    for e in sorted(p.terms):
-        out.append(list(e) + [frac_to_str(p.terms[e])])
-    return out
+    return [list(e) + [frac_to_str(c)] for e, c in sorted(p.terms.items())]
 
 
 def _poly_from_json(items, nvars):

@@ -158,35 +158,8 @@ class Ring:
     def series_lincomb(self, xs, a, ys, b, den):
         """(numerators, den') of a*x + b*y over den for the numerator lists
         xs, ys, each entry and a, b an int or a Poly of this ring, with the
-        common factor of den and every integer coefficient divided out.
-
-        In a cancel step the int a (the reducer's leading numerator)
-        usually shares a factor h with den and with every b*y, and then
-        the combination is (a/h)*x + (b*y)/h over den/h, so the long
-        target x is copied rather than multiplied by a and divided again.
-        h is found before any product: by Gauss's lemma the content of
-        b*y is content(b)*content(y), so h = gcd(a, den, content(b) *
-        content(ys)), and it divides every single term product."""
+        common factor of den and every integer coefficient divided out."""
         at, bt = tuple(_items(a)), tuple(_items(b))
-        hy = 1
-        if not isinstance(a, Poly) and a != 1 and den != 1:
-            h = gcd(a, den)
-            if h != 1:
-                cb = gcd(*(c for _, c in bt))
-                cy = 0
-                for y in ys:
-                    if y:
-                        cy = gcd(cy, *(c for _, c in _items(y)))
-                        if gcd(h, cb * cy) == 1:
-                            break
-                h = gcd(h, cb * cy)
-                if h != 1:
-                    hb = gcd(h, cb)
-                    hy = h // hb
-                    a //= h
-                    den //= h
-                    at = tuple(_items(a))
-                    bt = tuple((k, c // hb) for k, c in bt)
         a_poly = isinstance(a, Poly)
         if a_poly:
             ka0, ca0 = at[0]
@@ -211,8 +184,6 @@ class Ring:
             if y:
                 get = d.get
                 for ky, cy in _items(y):
-                    if hy != 1:
-                        cy //= hy
                     for kb, cb in bt:
                         k = ky + kb
                         d[k] = get(k, 0) + cy * cb
