@@ -86,7 +86,12 @@ def _cmd_recover_gamma(args):
         "b_sets": [list(b) for b in profile.b_sets],
     }
     if profile.covered:
-        out["generators"] = list(recover_gamma(lam).generators)
+        try:
+            out["generators"] = list(recover_gamma(lam).generators)
+        except DomainError as exc:  # the maxima of the B_i share a factor
+            maxima = [max(b) for b in profile.b_sets]
+            out["generators"] = None
+            out["reason"] = f"max(B_i) = {maxima}: {exc}"
     return out
 
 

@@ -5,8 +5,11 @@ Three gates, cheapest first: (1) L must be covered by its Apery set;
 (2) the candidate generators u_i = max(B_i(L)) must satisfy the numerical
 constraints of a plane-branch semigroup (eta_{i-1} u_{i-1} < u_i; every
 eta_i >= 2 already, and every B_i has its full size, see
-`valueset._build_profile`); (3) <u_0, ..., u_rho> is stratified and L is
-compared against every attainable Lambda.  Gates 1 and 2 read L's Apery
+`valueset._build_profile`); (3) the split tree of <u_0, ..., u_rho> is
+walked with L as its target (`strata.find_witness`): each parametric run
+stops at the first value where its Lambda leaves L, and the answer is
+"yes" at the first run that ends at L, with a witness drawn from the seed
+and checked once by a concrete run.  Gates 1 and 2 read L's Apery
 profile, computed once by the first of them.
 """
 
@@ -18,7 +21,9 @@ from .branch import BranchParametrization
 from .errors import DomainError, ValidationError
 from .forms import algorithm1_lambda
 from .semigroup import NumericalSemigroup, is_plane_branch_semigroup
-from .strata import stratify
+# stratify stays importable as decider.stratify, the name under which
+# tracing binds the stratification a decision used to run.
+from .strata import find_witness, stratify  # noqa: F401
 from .valueset import ValueSet, b_sets, epsilon_eta, is_covered
 
 
@@ -77,17 +82,12 @@ def decide(L, max_splits=60, seed=0):
         return Decision("no", "eta-or-bresinsky-failed", reason)
     gamma = NumericalSemigroup(u)
 
-    report = stratify(gamma, max_splits=max_splits, seed=seed)
-    unresolved = False
-    for stratum in report.strata:
-        if stratum.status != "resolved":
-            unresolved = True
-            continue
-        if stratum.lambda_set == L:
-            witness = report.family.member(stratum.witness)
-            ev = ("matched a stratum of <" +
-                  ", ".join(map(str, gamma.generators)) + ">")
-            return _yes(ev, witness, L, gamma)
+    witness, unresolved = find_witness(gamma, L, max_splits=max_splits,
+                                       seed=seed)
+    if witness is not None:
+        ev = ("matched a stratum of <" +
+              ", ".join(map(str, gamma.generators)) + ">")
+        return _yes(ev, witness, L, gamma)
     if unresolved:
         return Decision(
             "unresolved", "no-matching-stratum",

@@ -253,7 +253,7 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
         o += 1
 
 
-def algorithm1_core(sb, oracle=None):
+def algorithm1_core(sb, oracle=None, target=None):
     """Completion loop over the differentials of the ring standard basis.
 
     Returns the list of FormEntry making up a standard basis of the
@@ -261,6 +261,15 @@ def algorithm1_core(sb, oracle=None):
     as tuples shaped like `sb.elements`: (pull,) for a parametric basis,
     whose callers read values only, so FormEntry.form is None; (pull, form)
     for a concrete one, the 1-form certifying the value.
+
+    S-processes are popped in increasing matched value m, and once m is
+    popped the part of Lambda in [1, m] is final: the S-process of value m
+    cancels its order m - 1, so what it leaves has value at least m + 1,
+    and every S-process pushed later pairs an entry of value above m.
+    With a target value set the loop keeps Lambda's part in [1, bound] as
+    a bitset (each entry marks v + Gamma) and compares it with the
+    target's part in [1, m] at each pop: on the first difference the run
+    cannot end at the target, and it returns None.
     """
     gamma = sb.gamma
     bound = gamma.conductor - 1
@@ -278,6 +287,12 @@ def algorithm1_core(sb, oracle=None):
         assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
             f"nu(dh) = {lead} expected value {v}"
         entries.append(_entry(elem, v))
+    if target is not None:
+        gamma_bits = sum(1 << z for z in gamma.members_up_to(bound + 1))
+        want = sum(1 << z for z in range(1, bound + 1) if z in target)
+        have = 0
+        for e in entries:
+            have |= gamma_bits << e.value
 
     gens = gamma.generators
     cap = bound + gens[-1]
@@ -303,6 +318,8 @@ def algorithm1_core(sb, oracle=None):
 
     while heap:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
+        if target is not None and (have ^ want) & ((2 << m) - 1):
+            return None
         sp = _times(cache.product(alpha), entries[p])
         sq = _times(cache.product(gamma_v), entries[q])
         assert sp[0].order() == sq[0].order() == m - 1
@@ -310,6 +327,8 @@ def algorithm1_core(sb, oracle=None):
         result = reduce_form(s, entries, gamma, bound, cache, oracle)
         if result is not None:
             entries.append(result)
+            if target is not None:
+                have |= gamma_bits << result.value
             push_new(len(entries) - 1)
 
     return entries

@@ -47,6 +47,15 @@ def _exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _ints(terms):
+    """terms, changed in place: every Fraction coefficient with denominator
+    1 becomes an int (see `_exact`)."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 def _overflow():
     return OverflowError(f"polynomial exponent above {MAX_EXPONENT}")
 
@@ -316,7 +325,7 @@ class Poly:
         for e, c in items:
             s = terms.get(e, 0) + c if sign > 0 else terms.get(e, 0) - c
             if s:
-                terms[e] = s
+                terms[e] = _exact(s) if type(s) is Fraction else s
             else:
                 terms.pop(e, None)
         return Poly._new(self.ring, terms)
@@ -339,12 +348,9 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other or not self._t:
                 return self.ring.zero()
-            if isinstance(other, Fraction):
-                if other.denominator != 1:
-                    return Poly._new(self.ring, {e: _exact(c * other)
-                                                 for e, c in self._t.items()})
-                other = other.numerator
-            return Poly._new(self.ring, {e: c * other for e, c in self._t.items()})
+            other = _exact(other)
+            return Poly._new(self.ring, _ints({e: c * other
+                                               for e, c in self._t.items()}))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -361,7 +367,7 @@ class Poly:
                 else:
                     del terms[e]
         self.ring._check((terms,))
-        return Poly._new(self.ring, terms)
+        return Poly._new(self.ring, _ints(terms))
 
     # scale(c) is the scalar product, as for series and 1-forms.
     __rmul__ = scale = __mul__
@@ -396,7 +402,7 @@ class Poly:
             d = e >> s & _FIELD
             if d:
                 terms[e - unit] = c * d
-        return Poly._new(self.ring, terms)
+        return Poly._new(self.ring, _ints(terms))
 
     # -- substitution and evaluation -----------------------------------------
 

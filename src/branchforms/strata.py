@@ -9,7 +9,9 @@ space into a vanishing locus and its complement.  A run goes on as the
 complement (the generic child) and records the split; each vanishing
 child runs again from the ring basis with its equality substituted.  The
 leaves of the split tree are the strata, each with one value set Lambda
-and a rational witness.
+and a rational witness.  `stratify` walks the whole tree; `find_witness`
+walks it towards one target Lambda, stopping each run where its Lambda
+leaves the target.
 """
 
 from __future__ import annotations
@@ -228,14 +230,16 @@ def _solve_linear(f):
     return None
 
 
-def _run_once(family, task, factors):
+def _run_once(family, task, factors, target=None):
     """One complete parametric run under the task's assumptions, going on
     as the generic child of every split it meets; factors is the
-    factorization memo of the whole stratification.
+    factorization memo of the whole walk.
 
     Returns (splits, result): the unknown factors of each split in the
-    order met, and (Lambda, minimal values, final nonzero assumptions), or
-    ((), None) when an assumption becomes zero (the branch is empty)."""
+    order met, and (Lambda, minimal values, final nonzero assumptions).
+    The result is None when an assumption becomes zero (the branch is
+    empty; no split is met then) or when Lambda leaves the target (see
+    `algorithm1_core`); the splits met before that are still returned."""
     phi = family.phi
     nonzero = list(family.base_nonzero)
     for name, expr in task.substitutions:
@@ -248,7 +252,9 @@ def _run_once(family, task, factors):
             nonzero.append(f)
     oracle = ConstraintOracle(nonzero, factors)
     sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle)
-    entries = algorithm1_core(sb, oracle=oracle)
+    entries = algorithm1_core(sb, oracle=oracle, target=target)
+    if entries is None:
+        return tuple(oracle.splits), None
     lam = assemble_lambda(entries, family.gamma)
     minimal = tuple(sorted(e.value for e in entries if e.minimal))
     return tuple(oracle.splits), (lam, minimal, tuple(oracle.nonzero))
@@ -276,8 +282,9 @@ def _unresolved(task):
                    tuple(task.substitutions), None, None, "unresolved")
 
 
-def stratify(gamma, max_splits=60, seed=0):
-    """Partition the normal-form family of gamma into strata, one Lambda each.
+def _walk(family, max_splits, target=None):
+    """The leaves of the split tree of family, as (depth, path, Stratum)
+    with no witness, in the order their runs end.
 
     Splits happen on irreducible factors of undecidable leading
     coefficients: one child per factor set to zero (earlier factors kept
@@ -285,32 +292,43 @@ def stratify(gamma, max_splits=60, seed=0):
     on as the generic child of each split it meets, so only the equality
     children run again, from the ring basis with their substitution.
     Equalities that are not linear in any single parameter leave the child
-    unresolved rather than guessed, and so does a stratum in which no
-    rational witness is found.
+    unresolved rather than guessed.
 
     The split budget counts splits and is checked when a task is taken up:
     once more than max_splits splits have been met, every task still
     waiting becomes an unresolved stratum, but a run already under way
-    finishes its generic chain.  Tasks are taken up, and strata listed, in
-    breadth-first order of the split tree: by depth, then by the path of
-    child indices, the generic child last among its siblings.  Parametric
-    runs return values only; each resolved stratum's witness is then drawn
-    in that order and re-checked by a concrete run.
-    """
-    family = normal_form_family(gamma)
-    gamma = family.gamma
-    rng = random.Random(seed)
-    factors = {}  # normalized Poly -> irreducible factors, for this call only
+    finishes its generic chain.  Tasks are taken up in breadth-first order
+    of the split tree: by depth, then by the path of child indices, the
+    generic child last among its siblings.
 
+    With a target value set, each run stops at the first popped
+    S-process value m at which its Lambda leaves the target (see
+    `algorithm1_core`), and the walk yields only the leaves whose runs
+    get to the end.  No leaf whose Lambda is the target is lost:
+
+    - Prefix finality.  The completion pops S-processes in increasing m,
+      and once m is popped the part of Lambda in [1, m] is final.  Had
+      the run not stopped, it would go on only as the generic child of
+      the splits still to come, so it cannot end at the target.
+    - Later splits share the prefix.  An equality child of a split the
+      run would meet after that pop repeats, under its substitution, the
+      run's cancellations up to that split with the same nonzero leading
+      coefficients: its assumptions contain every factor assumed before
+      the split, and substitution is a ring homomorphism.  So its Lambda
+      has the same part in [1, m], and neither it nor any leaf below it
+      ends at the target; the stopped run never meets those splits.
+
+    The equality children of the splits met before the stop still queue.
+    """
+    factors = {}  # normalized Poly -> irreducible factors, for this walk only
     tasks = [(0, (), _Task([], [], []))]   # heap of (depth, path, task)
-    leaves = []                            # (depth, path, Stratum)
     splits = 0
     while tasks:
         _depth, path, task = heapq.heappop(tasks)
         if splits > max_splits:
-            leaves.append((len(path), path, _unresolved(task)))
+            yield len(path), path, _unresolved(task)
             continue
-        met, result = _run_once(family, task, factors)
+        met, result = _run_once(family, task, factors, target)
         splits += len(met)
         nonzero = list(task.nonzero)
         for unknown in met:
@@ -321,21 +339,35 @@ def stratify(gamma, max_splits=60, seed=0):
                 key = (len(path) + 1, path + (j,))
                 solved = _solve_linear(f)
                 if solved is None:
-                    leaves.append((*key, _unresolved(child)))
+                    yield (*key, _unresolved(child))
                 else:
                     child.substitutions.append(solved)
                     heapq.heappush(tasks, (*key, child))
             nonzero += unknown
             path += (len(unknown),)
         if result is None:
-            continue  # contradictory branch: an assumption became zero
+            continue  # an empty branch, or one whose Lambda left the target
         lam, minimal, nonzero_final = result
-        leaves.append((len(path), path,
-                       Stratum(tuple(task.equalities), nonzero_final,
-                               tuple(task.substitutions), lam, None,
-                               "resolved", minimal_values=minimal)))
+        yield (len(path), path,
+               Stratum(tuple(task.equalities), nonzero_final,
+                       tuple(task.substitutions), lam, None,
+                       "resolved", minimal_values=minimal))
 
-    leaves.sort(key=lambda leaf: leaf[:2])
+
+def stratify(gamma, max_splits=60, seed=0):
+    """Partition the normal-form family of gamma into strata, one Lambda each.
+
+    The strata are the leaves of the whole split tree (see `_walk`),
+    listed in its breadth-first order: by depth, then by the path of
+    child indices.  Parametric runs return values only; each resolved
+    stratum's witness is then drawn in that order from one
+    `random.Random(seed)` and re-checked by a concrete run.  A stratum in
+    which no rational witness is found is unresolved.
+    """
+    family = normal_form_family(gamma)
+    gamma = family.gamma
+    rng = random.Random(seed)
+    leaves = sorted(_walk(family, max_splits), key=lambda leaf: leaf[:2])
     strata = tuple(stratum for _depth, _path, stratum in leaves)
     for stratum in strata:
         if stratum.status != "resolved":
@@ -354,3 +386,29 @@ def stratify(gamma, max_splits=60, seed=0):
                 f"{check} vs {stratum.lambda_set}")
 
     return StratificationReport(gamma, family, strata)
+
+
+def find_witness(gamma, target, max_splits=60, seed=0):
+    """A branch of gamma's normal-form family whose Lambda is the value set
+    target, found by the pruned walk of the split tree (see `_walk`).
+
+    Returns (witness, unresolved).  The witness is drawn from a fresh
+    `random.Random(seed)` in the first stratum, in walk order, whose
+    Lambda is target and in which a rational point is found, so it is a
+    function of (gamma, target, max_splits, seed) alone; it is not yet
+    checked by a concrete run, which is the caller's.  witness is None
+    when no such stratum exists; unresolved then says whether some leaf
+    met (a nonlinear equality, the spent split budget, a matching stratum
+    with no rational point) left the answer open.
+    """
+    family = normal_form_family(gamma)
+    unresolved = False
+    for _depth, _path, stratum in _walk(family, max_splits, target):
+        if stratum.status == "resolved":
+            if stratum.lambda_set != target:
+                continue
+            point = _sample_witness(family, stratum, random.Random(seed))
+            if point is not None:
+                return family.member(point), unresolved
+        unresolved = True
+    return None, unresolved

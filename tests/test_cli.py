@@ -56,6 +56,16 @@ def test_recover_gamma(capsys):
     assert out["generators"] == [6, 9, 19]
 
 
+def test_recover_gamma_prints_the_profile_when_the_maxima_share_a_factor(capsys):
+    # covered, but the B_i maxima 8, 12, 22 have gcd 2: no semigroup to name
+    code, out = invoke(capsys, "recover-gamma", "--set",
+                       '{"elements":[8,12,13,16,20,21,22,23,24,26],"cofinal":28}')
+    assert code == 0
+    assert out["covered"] and out["b_sets"] == [[8], [12], [13, 22]]
+    assert out["generators"] is None
+    assert out["reason"] == "max(B_i) = [8, 12, 22]: gcd of generators must be 1"
+
+
 def test_lambda_command(capsys):
     code, out = invoke(capsys, "lambda", "--branch",
                        '{"n":6,"y":[[9,"1"],[10,"1"],[11,"-1/2"],[17,"1/38"]]}')
@@ -175,6 +185,15 @@ def test_decide_command(capsys):
     assert code == 0
     assert out["verdict"] == "yes"
     assert out["witness"]["n"] == 6
+
+
+def test_decide_on_the_10_11_set_stops_at_the_first_s_process(capsys):
+    # Gamma = <10,11>: 12 is in L but in no Lambda of the class, and the
+    # first S-process has value 21, so every run stops at its first pop.
+    code, out = invoke(capsys, "decide", "--set", '{"elements":[],"cofinal":10}')
+    assert code == 0
+    assert (out["verdict"], out["stage"]) == ("no", "no-matching-stratum")
+    assert out["gamma"] == [10, 11]
 
 
 def test_recover_gamma_and_decide_compute_the_apery_profile_once(

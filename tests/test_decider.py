@@ -1,9 +1,16 @@
+import json
+import os
+import random
+
 import pytest
 
 from branchforms import (BranchParametrization, NumericalSemigroup,
                          ValidationError, ValueSet, algorithm1_lambda, decide,
                          from_semigroup, semigroup_of)
 from branchforms import strata
+from branchforms.jsonio import decision_to_json
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 L1 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 24, 25), 27)
 L2 = ValueSet((6, 9, 12, 15, 16, 17, 18, 21, 22, 23, 24, 25), 27)
@@ -93,3 +100,50 @@ def test_no_witness_gives_unresolved(monkeypatch):
     d = decide(lam)
     assert (d.verdict, d.stage) == ("unresolved", "no-matching-stratum")
     assert d.witness is None
+
+
+def test_the_witness_is_a_function_of_the_set_and_the_seed():
+    runs = [decision_to_json(decide(L4, seed=seed)) for seed in (0, 0, 3)]
+    assert runs[0] == runs[1]
+    assert runs[0]["witness"] != runs[2]["witness"]
+
+
+# Golden classes whose full stratification takes at most about a second.
+FAST_GOLDEN = [(4, 9), (5, 7), (5, 8), (6, 9, 19), (6, 9, 23), (6, 14, 45),
+               (7, 9), (6, 13)]
+
+
+def recorded_strata(gens):
+    """Distinct resolved Lambda of the recorded full `stratify` of gens,
+    and whether it has unresolved strata."""
+    name = f"stratify-{'-'.join(map(str, gens))}.json"
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    lams = [ValueSet(tuple(s["lambda"]["elements"]), s["lambda"]["cofinal"])
+            for s in doc if s["status"] == "resolved"]
+    return list(dict.fromkeys(lams)), any(s["status"] != "resolved" for s in doc)
+
+
+@pytest.mark.parametrize("gens", FAST_GOLDEN, ids=str)
+def test_pruned_decide_agrees_with_the_full_stratification(gens):
+    lams, unresolved = recorded_strata(gens)
+    for lam in lams:
+        d = decide(lam)
+        assert (d.verdict, d.stage) == ("yes", "matched"), lam
+        assert semigroup_of(d.witness).generators == gens
+        assert algorithm1_lambda(d.witness).lambda_set == lam
+    # One element added or removed; the sets whose candidate Gamma is gens
+    # reach the walk.  The full stratification answers yes for a recorded
+    # Lambda, else unresolved if a stratum is, else no.  The pruned walk
+    # may settle an unresolved answer, but never flips yes and no.
+    rng = random.Random(0)
+    for lam in lams:
+        members = set(lam.up_to(lam.cofinal + 2))
+        for z in rng.sample(range(1, lam.cofinal + 2), 8):
+            L = ValueSet(tuple(members ^ {z}), lam.cofinal + 2)
+            d = decide(L)
+            if d.stage not in ("matched", "no-matching-stratum") \
+                    or d.gamma.generators != gens:
+                continue
+            full = "yes" if L in lams else "unresolved" if unresolved else "no"
+            assert d.verdict == full or full == "unresolved", (L, d.verdict)

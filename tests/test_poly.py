@@ -167,8 +167,9 @@ def ref_normalized(p):
 
 def as_ref(p):
     """A Poly's terms as the reference sees them, after checking that no
-    zero term is kept."""
+    zero term is kept and that every integral coefficient is an int."""
     assert all(p.terms.values())
+    assert all(type(c) is int for c in p.terms.values() if c.denominator == 1)
     return {e: Fraction(c) for e, c in p.terms.items()}
 
 
@@ -188,6 +189,7 @@ def test_packed_poly_matches_tuple_reference(p, q, k, i, r, c):
     assert as_ref(P * Q) == ref_mul(p, q)
     assert as_ref(P ** k) == ref_pow(p, k)
     assert as_ref(P.partial(i)) == ref_partial(p, i)
+    assert as_ref(P.scale(c) * (2 * Q)) == ref_mul(p, {e: 2 * c * v for e, v in q.items()})
     mapping = {"b": r, "c": {(0, 0, 0): c}}
     assert as_ref(P.subs({"b": make(r), "c": c})) == ref_subs(p, mapping)
     assert str(P) == ref_str(p) and str(Q) == ref_str(q)
@@ -196,6 +198,14 @@ def test_packed_poly_matches_tuple_reference(p, q, k, i, r, c):
     assert P == make(dict(reversed(list(p.items()))))
     assert hash(P) == hash(make(dict(reversed(list(p.items())))))
     assert P.variables() == {n for e in p for n, d in zip(ABC.names, e) if d}
+
+
+def test_integral_results_have_int_coefficients():
+    a, b, _c = ABC.gens()
+    for p in ((a * Fraction(1, 2)) * (b * 2), (a + 2 * b).subs({"b": Fraction(1, 2)}),
+              (a ** 2 * Fraction(1, 2)).partial(0), Fraction(1, 2) * a * 2,
+              a * Fraction(1, 2) + a * Fraction(1, 2)):
+        assert all(type(c) is int for c in p.terms.values()), p.terms
 
 
 def test_exponents_stop_below_the_guard_bit():
