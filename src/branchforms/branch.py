@@ -18,7 +18,7 @@ from .errors import DomainError, ValidationError
 from .poly import coordinate_ring
 from .semigroup import (CharacteristicSequence, NumericalSemigroup,
                         semigroup_from_characteristic)
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _ProductCache
 
 
 class BranchParametrization:
@@ -209,31 +209,6 @@ def _cancel(target, reducer, o, cross=False):
     lc, lp = t.coeff(o), r.coeff(o)
     return (pull,) + tuple(x.scale(lp) - y.scale(lc)
                            for x, y in zip(target[1:], reducer[1:]))
-
-
-class _ProductCache:
-    """Products of powers of a standard basis, as tuples shaped like its
-    elements (`StandardBasisOf.elements`).  The basis list may grow while
-    the cache is in use; a product only reads the elements it names."""
-
-    def __init__(self, basis):
-        self.basis = basis
-        self._pow = {}
-        self._prod = {}
-
-    def product(self, delta):
-        delta = tuple(delta)
-        if delta not in self._prod:
-            out = None
-            for i, d in enumerate(delta):
-                if not d:
-                    continue
-                if (i, d) not in self._pow:
-                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
-                p = self._pow[i, d]
-                out = p if out is None else tuple(a * b for a, b in zip(out, p))
-            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
-        return self._prod[delta]
 
 
 def standard_basis_of_ring(phi, gamma=None, oracle=None):

@@ -191,20 +191,21 @@ def run(argv=None):
         result = args.fn(args)
     except SystemExit as exc:  # --help, after printing its text
         return exc.code
+    # Each handler only builds the error document: printing waits until the
+    # handled exception, whose traceback can hold a partial result that
+    # filled the memory, has been released.
     except ValidationError as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}))
-        return 2
+        result, code = {"error": "usage", "detail": str(exc)}, 2
     except (DomainError, PrecisionError) as exc:
-        print(json.dumps({"error": args.command, "detail": str(exc)}))
-        return 1
+        result, code = {"error": args.command, "detail": str(exc)}, 1
     except MemoryError:
-        print(json.dumps({"error": args.command, "detail": "out of memory"}))
-        return 1
+        result, code = {"error": args.command, "detail": "out of memory"}, 1
     except OverflowError:
-        print(json.dumps({"error": args.command, "detail": "number too large"}))
-        return 1
+        result, code = {"error": args.command, "detail": "number too large"}, 1
+    else:
+        code = 0
     print(json.dumps(result))
-    return 0
+    return code
 
 
 def main(argv=None):

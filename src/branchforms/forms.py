@@ -15,10 +15,9 @@ import heapq
 import itertools
 import operator
 
-from .branch import (_cancel, _ProductCache, _pullback_degree, semigroup_of,
-                     standard_basis_of_ring)
+from .branch import _cancel, _pullback_degree, semigroup_of, standard_basis_of_ring
 from .errors import DomainError, PrecisionError, ValidationError
-from .series import AbovePrecision, TruncatedSeries
+from .series import AbovePrecision, TruncatedSeries, _ProductCache
 from .valueset import ValueSet
 
 
@@ -65,8 +64,8 @@ def pullback_form(form, coord_series):
     if form.ncoords > len(coord_series):
         raise ValidationError("form has more coordinates than the parametrization")
     total = None
-    cache = {}
     args = coord_series[: len(form.coeffs[0].ring.names)]
+    cache = _ProductCache([(s,) for s in args])
     for a, coord in zip(form.coeffs, coord_series):
         if not a:
             continue
@@ -147,23 +146,26 @@ def minimal_s_processes(nu_p, nu_q, gens, cap):
         sum v_i alpha_i + nu_p == sum v_i gamma_i + nu_q == matched <= cap.
 
     Returns a tuple of (alpha, gamma, matched) sorted by matched value.
+
+    The cap cuts no minimal solution short: if (alpha', gamma') <=
+    (alpha, gamma) componentwise then matched' <= matched, so a solution
+    below the cap can only be dominated by another one below it, and the
+    minimal solutions up to the cap are exactly the minimal solutions of
+    the uncapped system whose matched value is at most cap.
     """
     vecs = _vectors_by_value(gens, cap)
-    sols = []
+    # Dominated solutions reduce to products of smaller ones; keep the
+    # componentwise-minimal concatenated vectors only.  Another solution
+    # that dominates one has a smaller matched value, so it is met first.
+    minimal = []
     for m in range(max(nu_p, nu_q), cap + 1):
         for alpha in vecs.get(m - nu_p, ()):
             for gamma_v in vecs.get(m - nu_q, ()):
-                sols.append((alpha, gamma_v, m))
-    # Dominated solutions reduce to products of smaller ones; keep the
-    # componentwise-minimal concatenated vectors only.
-    sols.sort(key=lambda s: (sum(s[0]) + sum(s[1]), s[2]))
-    minimal = []
-    for alpha, gamma_v, m in sols:
-        cat = alpha + gamma_v
-        if any(all(a <= b for a, b in zip(k[0] + k[1], cat)) for k in minimal):
-            continue
-        minimal.append((alpha, gamma_v, m))
-    minimal.sort(key=lambda s: s[2])
+                cat = alpha + gamma_v
+                if not any(all(a <= b for a, b in zip(k[0] + k[1], cat))
+                           for k in minimal):
+                    minimal.append((alpha, gamma_v, m))
+    minimal.sort(key=lambda s: (s[2], sum(s[0]) + sum(s[1])))
     return tuple(minimal)
 
 
@@ -295,26 +297,18 @@ def algorithm1_core(sb, oracle=None, target=None):
             have |= gamma_bits << e.value
 
     gens = gamma.generators
-    cap = bound + gens[-1]
     heap = []
     counter = itertools.count()
-    seen_pairs = set()
 
-    def push_new(i):
-        for j in range(len(entries)):
-            if j == i:
-                continue
-            p, q = (i, j) if i < j else (j, i)
-            if (p, q) in seen_pairs:
-                continue
-            seen_pairs.add((p, q))
-            for alpha, gamma_v, m in minimal_s_processes(
-                    entries[p].value, entries[q].value, gens, cap):
-                if m < bound:
-                    heapq.heappush(heap, (m, next(counter), p, q, alpha, gamma_v))
+    def push(p, q):
+        for alpha, gamma_v, m in minimal_s_processes(
+                entries[p].value, entries[q].value, gens, bound - 1):
+            heapq.heappush(heap, (m, next(counter), p, q, alpha, gamma_v))
 
-    for i in range(len(entries)):
-        push_new(i)
+    # Each pair p < q is pushed once: the initial entries in row-major
+    # order, then each new entry with every earlier one.
+    for p, q in itertools.combinations(range(len(entries)), 2):
+        push(p, q)
 
     while heap:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
@@ -329,7 +323,8 @@ def algorithm1_core(sb, oracle=None, target=None):
             entries.append(result)
             if target is not None:
                 have |= gamma_bits << result.value
-            push_new(len(entries) - 1)
+            for p in range(len(entries) - 1):
+                push(p, len(entries) - 1)
 
     return entries
 
@@ -345,11 +340,10 @@ def assemble_lambda(entries, gamma):
         if not reducible:
             kept_values.append(e.value)
     cof = max(mu, 1)
-    members = set()
-    for v in kept_values:
-        for z in gamma.members_up_to(max(cof - v, 0)):
-            if 0 < v + z < cof:
-                members.add(v + z)
+    # kept_values ascend and are positive, so one scan of Gamma below cof
+    # minus the least of them holds every z with v + z < cof.
+    zs = gamma.members_up_to(max(cof - kept_values[0], 0))
+    members = {v + z for v in kept_values for z in zs if v + z < cof}
     return ValueSet(tuple(members), cof)
 
 

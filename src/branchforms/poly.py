@@ -29,7 +29,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import or_
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _ProductCache
 
 COORD_NAMES = ("x", "y", "z", "w")
 
@@ -444,28 +444,17 @@ class Poly:
         """Substitute TruncatedSeries for the variables.
 
         args must have one series per variable; the result precision is the
-        minimum of the argument precisions.
+        minimum of the argument precisions.  power_cache, a
+        `series._ProductCache` over the 1-tuples (a,) of args, lets several
+        polynomials share their power products.
         """
         if len(args) != len(self.ring.names):
             raise ValueError("argument count does not match variable count")
-        prec = min(a.precision for a in args)
         if power_cache is None:
-            power_cache = {}
-        total = TruncatedSeries.zero(prec)
+            power_cache = _ProductCache([(a,) for a in args])
+        total = TruncatedSeries.zero(min(a.precision for a in args))
         for e, c in self.terms.items():
-            term = None
-            for i, d in enumerate(e):
-                if not d:
-                    continue
-                key = (i, d)
-                if key not in power_cache:
-                    power_cache[key] = args[i] ** d
-                factor = power_cache[key]
-                term = factor if term is None else term * factor
-            if term is None:
-                total = total + TruncatedSeries.monomial(0, c, prec)
-            else:
-                total = total + term.scale(c)
+            total = total + power_cache.product(e)[0].scale(c)
         return total
 
     # -- normal form -----------------------------------------------------------

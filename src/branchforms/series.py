@@ -128,10 +128,6 @@ class TruncatedSeries:
         return TruncatedSeries([_integral(c, den) for c in coeffs],
                                precision, den, ring)
 
-    @staticmethod
-    def monomial(exponent, coefficient, precision):
-        return TruncatedSeries.from_terms([(exponent, coefficient)], precision)
-
     # -- arithmetic ---------------------------------------------------------
 
     def lincomb(self, a, other, b, den):
@@ -208,7 +204,7 @@ class TruncatedSeries:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = TruncatedSeries.monomial(0, 1, self.precision)
+        result = TruncatedSeries.from_terms([(0, 1)], self.precision)
         base = self
         while k:
             if k & 1:
@@ -278,3 +274,30 @@ class TruncatedSeries:
         parts = [f"{self.coeff(i)}*t^{i}" for i, c in enumerate(self.coeffs) if c]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(t^{self.precision})>"
+
+
+class _ProductCache:
+    """Products of powers of a basis of same-shaped tuples (a series plus
+    what the caller carries with it: `branch.StandardBasisOf.elements`, or
+    the 1-tuples of the series `Poly.eval_series` substitutes).  The basis
+    list may grow while the cache is in use; a product only reads the
+    elements it names."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._pow = {}
+        self._prod = {}
+
+    def product(self, delta):
+        delta = tuple(delta)
+        if delta not in self._prod:
+            out = None
+            for i, d in enumerate(delta):
+                if not d:
+                    continue
+                if (i, d) not in self._pow:
+                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
+                p = self._pow[i, d]
+                out = p if out is None else tuple(a * b for a, b in zip(out, p))
+            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
+        return self._prod[delta]

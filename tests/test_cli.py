@@ -255,18 +255,24 @@ def test_help_is_plain_text_and_exits_zero(capsys):
     assert "--max-splits" in capsys.readouterr().out
 
 
+def run_program(argv, **kwargs):
+    """The CLI in a child interpreter that imports this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "branchforms.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          **kwargs)
+
+
 @pytest.mark.parametrize("argv, code", [
     (("semigroup", "--gens", "6,9,19"), 0),
     (("semigroup", "--gens", "4,6"), 1),
     (("stratify", "--gens", "5,7", "--jobs", "2"), 2),
 ])
 def test_the_program_prints_one_json_line(argv, code):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "branchforms.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_program(argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
     assert isinstance(json.loads(proc.stdout), dict)
@@ -400,6 +406,24 @@ def test_exhausted_memory_is_an_error_json(capsys, monkeypatch):
                        '{"elements":[],"cofinal":10}')
     assert code == 1
     assert out == {"error": "decide", "detail": "out of memory"}
+
+
+def test_memory_running_out_in_the_program_prints_the_error_json():
+    # Listing the members below a cofinal of 10^8 fills the memory; the
+    # JSON must still print once the partial list is released.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_program(["recover-gamma", "--set",
+                        '{"elements":[],"cofinal":100000000}'],
+                       preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": "recover-gamma",
+                                       "detail": "out of memory"}
+    assert "Traceback" not in proc.stderr
 
 
 HUGE = 10000000000000000000

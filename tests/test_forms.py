@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,6 +42,46 @@ def test_minimality_filter():
         for j, c2 in enumerate(cats):
             if i != j:
                 assert not all(x <= y for x, y in zip(c1, c2))
+
+
+def _reference_s_processes(gens, cap):
+    """Brute force: (p, q) -> the set of solutions (alpha, gamma, matched)
+    with matched <= cap that no other solution dominates componentwise.
+
+    (alpha, gamma) dominates another solution exactly when the two differ
+    by some (d_alpha, d_gamma) >= 0, nonzero, with d_alpha.v == d_gamma.v:
+    so a solution is minimal iff alpha and gamma have no positive sub-sum
+    d.v (0 <= d <= alpha, resp. gamma) in common."""
+    by_value, sub_sums = {}, {}
+    for alpha in itertools.product(*(range(cap // g + 1) for g in gens)):
+        value = sum(a * g for a, g in zip(alpha, gens))
+        if value <= cap:
+            by_value.setdefault(value, []).append(alpha)
+            sums = {0}
+            for k, g in zip(alpha, gens):
+                sums = {s + i * g for s in sums for i in range(k + 1)}
+            sub_sums[alpha] = sums - {0}
+
+    def minimal(p, q):
+        return {(alpha, gamma_v, m)
+                for m in range(max(p, q), cap + 1)
+                for alpha in by_value.get(m - p, ())
+                for gamma_v in by_value.get(m - q, ())
+                if sub_sums[alpha].isdisjoint(sub_sums[gamma_v])}
+    return minimal
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (7, 9), (6, 13), (8, 12, 26, 53)])
+def test_s_processes_below_the_bound_need_no_wider_cap(gens):
+    # The completion asks only for S-processes below the reduction bound
+    # mu - 1.  Enumerating up to mu - 2 + v_g and filtering by dominance
+    # there must give the same solutions below the bound.
+    mu = NumericalSemigroup(gens).conductor
+    reference = _reference_s_processes(gens, mu - 2 + gens[-1])
+    for p, q in itertools.combinations_with_replacement(range(1, mu), 2):
+        sols = minimal_s_processes(p, q, gens, mu - 2)
+        assert [m for _a, _g, m in sols] == sorted(m for _a, _g, m in sols)
+        assert set(sols) == {s for s in reference(p, q) if s[2] <= mu - 2}, (p, q)
 
 
 def test_differential_value_equals_function_value():
