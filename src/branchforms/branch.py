@@ -44,10 +44,9 @@ class BranchParametrization:
 
     @staticmethod
     def plane(n, y_terms, extra=()):
-        """Puiseux form (t^n, y(t)) with optional extra coordinates."""
-        coords = [{int(n): Fraction(1)}, dict(y_terms)]
-        coords.extend(dict(z) for z in extra)
-        return BranchParametrization(coords)
+        """Puiseux form (t^n, y(t)) with optional extra coordinates, each
+        a dict or (exponent, coefficient) pairs; repeated exponents add up."""
+        return BranchParametrization([{int(n): Fraction(1)}, y_terms, *extra])
 
     # -- structure ----------------------------------------------------------
 

@@ -224,6 +224,11 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
     coefficient).  Such a coefficient is syntactically nonzero, and the
     oracle answers "nonzero" on every nonzero input, so its value is
     kept; the oracle is called only to record the split.
+
+    The reducer of a value is the first entry, in discovery order, whose
+    value it exceeds by a member of Gamma; Gamma's representation of that
+    difference is computed for the reducer alone, to name its product of
+    basis powers.
     """
     if elem[0].precision < bound:
         raise PrecisionError("series shorter than the reduction bound")
@@ -235,21 +240,12 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
         if o >= bound:
             return None
         value = o + 1
-        reducer = None
-        for entry in entries:
-            d = value - entry.value
-            if d < 0:
-                continue
-            member, s = gamma.membership(d)
-            if member:
-                reducer = (entry, s)
-                break
-        if reducer is None:
+        entry = next((e for e in entries if value - e.value in gamma), None)
+        if entry is None:
             if oracle is not None:
                 oracle.is_zero(pull.coeffs[o])
             return _entry(elem, value)
-        entry, delta = reducer
-        red = _times(cache.product(delta), entry)
+        red = _times(cache.product(gamma.membership(value - entry.value)[1]), entry)
         assert red[0].order() == o
         elem = _cancel(elem, red, o)
         o += 1
@@ -290,7 +286,9 @@ def algorithm1_core(sb, oracle=None, target=None):
             f"nu(dh) = {lead} expected value {v}"
         entries.append(_entry(elem, v))
     if target is not None:
-        gamma_bits = sum(1 << z for z in gamma.members_up_to(bound + 1))
+        # Gamma below the conductor in one int(): a sum of shifted bits
+        # would take time quadratic in the conductor
+        gamma_bits = int("".join("01"[m] for m in reversed(gamma._table)) or "0", 2)
         want = sum(1 << z for z in range(1, bound + 1) if z in target)
         have = 0
         for e in entries:

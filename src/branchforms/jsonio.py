@@ -70,8 +70,8 @@ def branch_to_json(phi):
 
 
 def _coord_from_json(terms):
-    return {int_from_json(e): frac_from_str(c)
-            for e, c in map(array_from_json, array_from_json(terms))}
+    return [(int_from_json(e), frac_from_str(c))
+            for e, c in map(array_from_json, array_from_json(terms))]
 
 
 def branch_from_json(obj):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .errors import DomainError, ValidationError
@@ -100,26 +101,25 @@ class NumericalSemigroup:
 
     @cached_property
     def _table(self):
-        """Reachability table for the general (non-free) case."""
-        v = self.generators
-        bound = v[0] * v[-1] + v[0] + 1
-        while True:
-            table = _reachable(v, bound)
-            # the table must end in a full run of v_0 members, so that
-            # everything beyond it is certainly reachable
-            if all(table[-v[0]:]):
-                return table
-            bound *= 2
+        """Membership of each z below the conductor, from one reachability
+        table; every question about Gamma's members reads this list.
 
-    @cached_property
+        By Schur's bound (Brauer 1942) the Frobenius number of <v_0, ...,
+        v_g> is at most (v_0 - 1)(v_g - 1) - 1, so a table up to
+        v_0 v_g + v_0 + 1 holds every gap and ends in v_0 members in a
+        row."""
+        v = self.generators
+        table = _reachable(v, v[0] * v[-1] + v[0] + 1)
+        assert all(table[-v[0]:])
+        conductor = len(table)
+        while conductor and table[conductor - 1]:
+            conductor -= 1
+        del table[conductor:]
+        return table
+
+    @property
     def conductor(self):
-        if self.is_free:
-            v = self.generators
-            n = self.n
-            mu = sum((n[i] - 1) * v[i] for i in range(1, len(v))) - v[0] + 1
-            return max(mu, 0)
-        return max((z + 1 for z, member in enumerate(self._table) if not member),
-                   default=0)
+        return len(self._table)
 
     # -- membership ------------------------------------------------------------
 
@@ -150,18 +150,13 @@ class NumericalSemigroup:
         return s[0] >= 0, tuple(s)
 
     def __contains__(self, z):
-        if z < 0:
-            return False
-        if z == 0:
-            return True
-        if self.is_free:
-            return self.membership(z)[0]
         tbl = self._table
-        return tbl[z] if z < len(tbl) else True
+        return z >= 0 and (z >= len(tbl) or tbl[z])
 
     def members_up_to(self, bound):
         """Sorted list of members in [0, bound)."""
-        return [z for z in range(0, bound) if z in self]
+        c = self.conductor
+        return [*compress(range(min(bound, c)), self._table), *range(c, bound)]
 
 
 def _minimalize(gens):

@@ -169,5 +169,4 @@ def gamma_star_apery(gamma):
 def from_semigroup(gamma):
     """Render a numerical semigroup minus 0 as a ValueSet."""
     cof = max(gamma.conductor, 1)
-    members = [z for z in gamma.members_up_to(cof) if z > 0]
-    return ValueSet(tuple(members), cof)
+    return ValueSet(tuple(gamma.members_up_to(cof)[1:]), cof)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from branchforms import ValueSet, cli
+from branchforms import ValueSet, cli, jsonio
 from branchforms.cli import run
 
 
@@ -77,6 +77,18 @@ def test_lambda_command(capsys):
                                                25, 27, 28, 30, 31, 33, 34,
                                                36, 37, 38, 39, 40})
     assert extra == [16, 22, 29, 35, 41]
+
+
+def test_repeated_exponents_in_branch_json_add_up(capsys):
+    # y = t^3 - t^3 + t^5 = t^5: the terms of y(t) = sum c t^e are summed
+    code, out = invoke(capsys, "lambda", "--branch",
+                       '{"n":2,"y":[[3,"1"],[3,"-1"],[5,"1"]]}')
+    assert code == 0
+    assert out == {"gamma": [2, 5], "lambda": {"elements": [2], "cofinal": 4},
+                   "minimal_values": [2, 5]}
+    phi = jsonio.branch_from_json(
+        {"n": 2, "y": [[3, "1"]], "extra": [[[5, "1"], [5, "1"], [7, "1"]]]})
+    assert phi.coords[2] == ((5, 2), (7, 1))
 
 
 def test_eval_form_single_and_multi(capsys):

@@ -1,12 +1,14 @@
-"""Golden regression data: stratification reports, concrete bases and the
-recovery of Gamma from Lambda.
+"""Golden regression data: stratification reports, concrete bases, the
+recovery of Gamma from Lambda and a census of small classes.
 
 The files under tests/data/ hold the JSON of `stratify` on a fixed list of
 classes, the concrete form-value basis of the four running-example
-branches, and the exit code and stdout of `semigroup` on edge cases and of
-`recover-gamma` and `decide` on seeded value sets.  The test recomputes each document and compares the text
-byte for byte, so any change to strata, constraints, witnesses, values,
-1-form certificates, Apery profiles or verdicts shows up here.
+branches, the exit code and stdout of `semigroup` on edge cases and of
+`recover-gamma` and `decide` on seeded value sets, and a digest of
+`stratify` on every plane-branch semigroup with conductor <= 60.  The test
+recomputes each document and compares the text byte for byte, so any
+change to strata, constraints, witnesses, values, 1-form certificates,
+Apery profiles or verdicts shows up here.
 
 Regenerate (only when a change of output is intended and explained):
 
@@ -14,12 +16,14 @@ Regenerate (only when a change of output is intended and explained):
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -118,11 +122,58 @@ def recovery_doc(_arg):
     return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
 
 
+def plane_semigroups(max_conductor):
+    """Every plane-branch semigroup with conductor <= max_conductor, <1>
+    included, as sorted generator tuples.
+
+    Generators are grown by Bresinsky's conditions (each gcd drops, so
+    n_i >= 2, and v_i > n_{i-1} v_{i-1}); the conductor is
+    sum_{i>=1} (n_i - 1) v_i - v_0 + 1, every term of the sum is positive
+    and the next term is at least the next generator, so a prefix stops
+    growing once its partial sum plus that generator passes the bound."""
+    out = [(1,)]
+
+    def grow(v, es, partial):
+        if es[-1] == 1:
+            out.append(tuple(v))
+            return
+        w = (es[-2] // es[-1]) * v[-1] + 1 if len(v) > 1 else v[0] + 1
+        while partial + w <= max_conductor:
+            e = gcd(es[-1], w)
+            term = (es[-1] // e - 1) * w
+            if e < es[-1] and partial + term <= max_conductor:
+                grow(v + [w], es + [e], partial + term)
+            w += 1
+
+    # the conductor is at least v_0, as 1, ..., v_0 - 1 are gaps
+    for v0 in range(2, max_conductor + 1):
+        grow([v0], [v0], 1 - v0)
+    return sorted(out)
+
+
+def census_doc(max_conductor):
+    """Per class: the number of strata, of unresolved strata, and the
+    sorted short hashes of the Lambda of each resolved stratum."""
+    doc = []
+    for gens in plane_semigroups(max_conductor):
+        strata = stratify(NumericalSemigroup(gens)).strata
+        doc.append({
+            "gens": list(gens),
+            "strata": len(strata),
+            "unresolved": sum(s.status == "unresolved" for s in strata),
+            "lambdas": sorted(
+                hashlib.sha256(json.dumps(s.lambda_set.to_json()).encode()).hexdigest()[:12]
+                for s in strata if s.status == "resolved"),
+        })
+    return _dump(doc)
+
+
 CASES = ([(f"stratify-{'-'.join(map(str, g))}.json", stratify_doc, g)
           for g in STRATIFY_CLASSES] +
          [(f"basis-running-{k}.json", basis_doc, y)
           for k, y in enumerate(RUNNING_EXAMPLE)] +
-         [("recovery.json", recovery_doc, None)])
+         [("recovery.json", recovery_doc, None),
+          ("census-60.json", census_doc, 60)])
 
 
 @pytest.mark.parametrize("name,make,arg", CASES, ids=[c[0] for c in CASES])

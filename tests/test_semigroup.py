@@ -43,6 +43,24 @@ def test_membership_representation_unique():
         assert sum(si * vi for si, vi in zip(s, g.generators)) == z
 
 
+@pytest.mark.parametrize("gens, conductor, members", [
+    ((6, 9, 19), 42, [0, 6, 9, 12, 15, 18, 19, 21, 24, 25, 27, 28, 30, 31, 33,
+                      34, 36, 37, 38, 39, 40]),
+    ((3, 4, 5), 3, [0]),
+])
+def test_membership_questions_read_the_table(monkeypatch, gens, conductor, members):
+    def no_representation(self, z):
+        raise AssertionError("membership asked for a representation")
+
+    monkeypatch.setattr(NumericalSemigroup, "membership", no_representation)
+    g = NumericalSemigroup(gens)
+    assert g.conductor == conductor
+    assert g.members_up_to(conductor + 3) == members + [conductor, conductor + 1,
+                                                         conductor + 2]
+    assert [z for z in range(-2, conductor + 3) if z in g] == \
+        g.members_up_to(conductor + 3)
+
+
 def test_gaps_and_conductor_consistency():
     g = NumericalSemigroup((4, 6, 13))
     assert g.conductor == 16
@@ -120,6 +138,8 @@ def test_membership_agrees_with_bruteforce(gens):
                       if z + v <= bound}
     for z in range(bound + 1):
         assert (z in g) == (z in reachable)
+    assert g.members_up_to(bound + 1) == sorted(reachable)
+    assert -1 not in g and -max(gens) not in g
     # v_0 members in a row end the gaps, so the conductor is read off the table
     v = g.generators
     assert all(z in reachable for z in range(bound - v[0] + 1, bound + 1))
