@@ -22,7 +22,8 @@ from .series import TruncatedSeries, _ProductCache
 
 
 class BranchParametrization:
-    """Coordinates x(t), y(t)[, z(t), ...] as exact sparse polynomials in t."""
+    """Coordinates x(t), y(t)[, z(t), ...] as exact sparse polynomials in t
+    with no constant term: a branch passes through the origin."""
 
     __slots__ = ("coords",)
 
@@ -37,6 +38,9 @@ class BranchParametrization:
                     raise ValidationError("negative exponent in parametrization")
                 if c:
                     terms[e] = terms.get(e, 0) + c
+            if terms.get(0):
+                raise ValidationError(f"coordinate {len(cleaned)} has a constant "
+                                      "term: a branch passes through the origin")
             cleaned.append(tuple(sorted((e, c) for e, c in terms.items() if c)))
         if not cleaned:
             raise ValidationError("parametrization needs at least one coordinate")
@@ -62,7 +66,7 @@ class BranchParametrization:
     @property
     def multiplicity(self):
         n = self.coord_order(0)
-        if n is None or n < 1:
+        if n is None:
             raise ValidationError("x(t) must vanish at the origin to positive order")
         return n
 
@@ -176,8 +180,9 @@ def _cancel(target, reducer, o, cross=False):
     numerators at t^o, the new pullback has the numerators T*r_c - R*t_c,
     integer arithmetic throughout, over
 
-    - t_den*r_c when r_c is a constant and cross is False: the value is
-      target - (t_c r_den / t_den r_c) * reducer, an ordinary subtraction;
+    - t_den*r_c when r_c is an int (a constant) and cross is False: the
+      value is target - (t_c r_den / t_den r_c) * reducer, an ordinary
+      subtraction;
     - t_den*r_den otherwise: the value is lp*target - lc*reducer for the
       true coefficients lc, lp at t^o, a cross-multiplication by lp
       (nonzero under the run's assumptions), which preserves all orders.
@@ -190,8 +195,6 @@ def _cancel(target, reducer, o, cross=False):
     """
     t, r = target[0], reducer[0]
     tc, rc = t.coeffs[o], r.coeffs[o]
-    if not cross and not isinstance(rc, int) and rc.is_constant():
-        rc = rc.constant_value()
     if not cross and isinstance(rc, int):
         if rc < 0:
             tc, rc = -tc, -rc

@@ -109,8 +109,8 @@ def _cmd_eval_form(args):
     branches = [jsonio.branch_from_json(_load_json(b, "--branch"))
                 for b in args.branch]
     form = jsonio.form_from_json(_load_json(args.form, "--form"))
-    if args.precision is not None and args.precision < 1:
-        raise ValidationError(f"--precision must be positive, got {args.precision}")
+    if args.precision is not None and args.precision < 2:
+        raise ValidationError(f"--precision must be at least 2, got {args.precision}")
     if len(branches) == 1:
         value = eval_form_order(branches[0], form, precision=args.precision)
         if isinstance(value, AbovePrecision):
@@ -167,7 +167,8 @@ def _build_parser():
                    help="branch JSON; repeat for a multi-branch value tuple")
     p.add_argument("--form", required=True, help="1-form JSON (inline or path)")
     p.add_argument("--precision", type=int, default=None,
-                   help="truncation order of the pullback series (positive)")
+                   help="truncation order of the coordinate series (at least 2: "
+                        "the pullback's derivative drops one position)")
     p.set_defaults(fn=_cmd_eval_form)
 
     p = sub.add_parser("stratify", help="all attainable value sets for a semigroup")

@@ -345,14 +345,13 @@ def assemble_lambda(entries, gamma):
     return ValueSet(tuple(members), cof)
 
 
-def algorithm1_lambda(phi, gamma=None):
+def algorithm1_lambda(phi):
     """Standard basis of the pulled-back 1-form module and the set Lambda.
 
     A concrete run: every entry carries its 1-form, a certificate of its
     value."""
     if phi.ncoords != 2:
         raise DomainError("Lambda computation is for plane branches only")
-    if gamma is None:
-        gamma = semigroup_of(phi)
+    gamma = semigroup_of(phi)
     entries = algorithm1_core(standard_basis_of_ring(phi, gamma=gamma))
     return FormValueBasis(tuple(entries), assemble_lambda(entries, gamma), gamma)

@@ -276,9 +276,10 @@ class Poly:
         return lcm(*(c.denominator for c in self._t.values()))
 
     def integral(self, m):
-        """m*self with int coefficients, for m a multiple of `denominator`."""
-        return Poly._new(self.ring, {k: c.numerator * (m // c.denominator)
-                                     for k, c in self._t.items()})
+        """m*self with int coefficients, for m a multiple of `denominator`,
+        as a series numerator (`Ring._element`): an int when constant."""
+        return self.ring._element({k: c.numerator * (m // c.denominator)
+                                   for k, c in self._t.items()})
 
     def variables(self):
         used = reduce(or_, self._t, 0)
@@ -300,15 +301,6 @@ class Poly:
         return self._hash
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.ring is not self.ring:
-                raise ValueError("mixed polynomial rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.constant(other)
-        return None
 
     def _combine(self, other, sign):
         """self + sign * other, for other a Poly in the same ring or a
@@ -351,9 +343,10 @@ class Poly:
             other = _exact(other)
             return Poly._new(self.ring, _ints({e: c * other
                                                for e, c in self._t.items()}))
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Poly):
             return NotImplemented
+        if other.ring is not self.ring:
+            raise ValueError("mixed polynomial rings")
         if not self._t or not other._t:
             return self.ring.zero()
         terms = {}
@@ -373,10 +366,7 @@ class Poly:
     __rmul__ = scale = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Poly):
-            if not other.is_constant():
-                raise ValueError("can only divide by a constant")
-            other = other.constant_value()
+        """self / other for a nonzero rational other."""
         other = Fraction(other)
         return Poly._new(self.ring,
                          {e: _exact(c / other) for e, c in self._t.items()})

@@ -6,7 +6,8 @@ numerators over one positive integer denominator per series: rationals in
 concrete mode are lifted to int numerators over the lcm of their
 denominators, and over a family a `poly.Poly` coefficient in the
 parameters is lifted the same way, to a Poly numerator with int
-coefficients over the lcm of its coefficients' denominators.
+coefficients over the lcm of its coefficients' denominators.  Every
+numerator is built as an int or as a Poly with a non-constant term.
 
 A series over a family carries the parameter `Ring` of its Poly
 numerators (`ring`, None for int numerators), set where it is built and
@@ -21,11 +22,10 @@ a*S + b*T of numerators (`lincomb`, behind + and -, the leading-term
 cancel step and the S-process) takes a denominator from its caller and
 divides out the common factor of it and every integer coefficient of the
 new numerators, which leaves the least denominator: so its result is
-canonical, whatever scalar multiples its inputs carried.  Scaling by c
-multiplies the numerators by the integral m*c and the denominator by the
-least m that makes m*c integral.  So series arithmetic is integer
-arithmetic throughout, concrete or parametric; `coeff(i)` and `leading()`
-give the true values.
+canonical, whatever scalar multiples its inputs carried.  Scaling is by
+a rational p/q only: it multiplies the numerators by p and the
+denominator by q.  So series arithmetic is integer arithmetic throughout,
+concrete or parametric; `coeff(i)` and `leading()` give the true values.
 
 Zero tests here are syntactic and read the numerators; a parametric run
 decides the vanishing of a coefficient through its constraint oracle
@@ -42,8 +42,8 @@ from .errors import PrecisionError
 
 
 def _integral(c, m):
-    """m*c with int coefficients, for c an int, a Fraction or a Poly and m
-    a multiple of c.denominator."""
+    """m*c as a numerator (an int, or a Poly with a non-constant term), for
+    c an int, a Fraction or a Poly and m a multiple of c.denominator."""
     if isinstance(c, (int, Fraction)):
         return c.numerator * (m // c.denominator)
     return c.integral(m)
@@ -122,9 +122,6 @@ class TruncatedSeries:
         ring = next((c.ring for c in coeffs
                      if not isinstance(c, (int, Fraction))), None)
         den = lcm(*(c.denominator for c in coeffs))
-        if ring is None:
-            return TruncatedSeries(
-                [c.numerator * (den // c.denominator) for c in coeffs], precision, den)
         return TruncatedSeries([_integral(c, den) for c in coeffs],
                                precision, den, ring)
 
@@ -186,20 +183,15 @@ class TruncatedSeries:
         return TruncatedSeries(out, p, self.den * other.den)
 
     def scale(self, c):
+        """c * self for c an int or a Fraction."""
         if not c:
             return TruncatedSeries.zero(self.precision)
-        den, ring = self.den, self.ring
+        den = self.den
         if isinstance(c, Fraction):
             den *= c.denominator
             c = c.numerator
-        elif not isinstance(c, int):
-            ring = c.ring   # a Poly: scale by the integral m*c over m
-            m = c.denominator
-            if m != 1:
-                den *= m
-                c = c.integral(m)
         return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
-                               self.precision, den, ring)
+                               self.precision, den, self.ring)
 
     def __pow__(self, k):
         if k < 0:
@@ -243,23 +235,6 @@ class TruncatedSeries:
             if c:
                 return i
         return AbovePrecision(self.precision)
-
-    # -- misc -------------------------------------------------------------------
-
-    def truncate(self, precision):
-        if precision >= self.precision:
-            return self
-        return TruncatedSeries(self.coeffs[:precision], precision, self.den,
-                               self.ring)
-
-    def map_coeffs(self, fn):
-        """Apply a ring homomorphism fn (one that fixes the integers, such
-        as evaluation at a point) to every coefficient.  The images of the
-        numerators are lifted again, so evaluating Poly numerators gives
-        int ones."""
-        return TruncatedSeries.from_terms(
-            ((i, fn(c)) for i, c in enumerate(self.coeffs) if c),
-            self.precision).scale(Fraction(1, self.den))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

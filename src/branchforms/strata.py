@@ -34,12 +34,12 @@ from .valueset import ValueSet
 class ConstraintOracle:
     """Zero test for series coefficients under nonzero-assumptions.
 
-    Constants decide themselves; a non-constant polynomial is zero-free
-    exactly when all its irreducible factors are assumed nonzero.  A
-    coefficient with factors not yet assumed is a case split: the oracle
-    appends those factors to its ordered `nonzero` list, records their
-    tuple in `splits` and answers "nonzero", so the run goes on as the
-    generic child of the split.  That is what a rerun of the generic child
+    It reads series numerators: an int decides itself, and a Poly (which
+    has a non-constant term) is zero-free exactly when all its irreducible
+    factors are assumed nonzero.  A coefficient with factors not yet
+    assumed is a case split: the oracle appends those factors to its
+    ordered `nonzero` list, records their tuple in `splits` and answers
+    "nonzero", so the run goes on as the generic child of the split.  That is what a rerun of the generic child
     would do: its assumptions contain the parent's, so every earlier zero
     test comes out the same.  A series hands the oracle its numerators,
     positive integer multiples of the true coefficients, and a polynomial
@@ -48,7 +48,7 @@ class ConstraintOracle:
     polynomial up to a constant factor.  `stratify` hands one dict to
     every run of a single call.
 
-    So `is_zero(c)` returns `not c` for every input: a split is recorded,
+    So `is_zero(c)` returns `not c` for every numerator: a split is recorded,
     never answered "zero".  Callers test `not c` themselves and call the
     oracle on a coefficient whose vanishing decides a value, only so that
     it records the split.
@@ -62,10 +62,6 @@ class ConstraintOracle:
     def is_zero(self, c):
         if not isinstance(c, Poly):
             return not c
-        if not c:
-            return True
-        if c.is_constant():
-            return False
         c = c.normalized()
         factors = self.factors.get(c)
         if factors is None:
@@ -87,7 +83,6 @@ class NormalFormFamily:
     exponents: tuple          # E, sorted
     fixed: tuple              # ((exponent, Fraction), ...) pinned coefficients
     base_nonzero: tuple       # Poly generators that must not vanish
-    free_names: tuple
 
     def member(self, point):
         """Concrete branch at a full rational parameter assignment."""
@@ -112,7 +107,7 @@ def normal_form_family(gamma):
     if g == 0:
         ring = Ring(())
         phi = BranchParametrization([{1: Fraction(1)}, {}])
-        return NormalFormFamily(gamma, ring, phi, (), (), (), ())
+        return NormalFormFamily(gamma, ring, phi, (), (), ())
 
     beta = characteristic_from_semigroup(gamma)
     b = beta.exponents
@@ -137,15 +132,14 @@ def normal_form_family(gamma):
             raise DomainError(
                 f"characteristic exponent {b[k]} missing from the family support")
 
-    free = tuple(f"a{i}" for i in E if i not in fixed)
-    ring = Ring(free)
+    ring = Ring(f"a{i}" for i in E if i not in fixed)
     y_terms = {v[1]: Fraction(1)}
     for i in E:
         y_terms[i] = ring.constant(fixed[i]) if i in fixed else ring.gen(f"a{i}")
     phi = BranchParametrization.plane(v[0], y_terms)
     base_nonzero = tuple(ring.gen(f"a{b[k]}").normalized() for k in range(3, g + 1))
     return NormalFormFamily(gamma, ring, phi, E,
-                            tuple(sorted(fixed.items())), base_nonzero, free)
+                            tuple(sorted(fixed.items())), base_nonzero)
 
 
 @dataclass
@@ -260,7 +254,10 @@ def _run_once(family, task, factors, target=None):
     return tuple(oracle.splits), (lam, minimal, tuple(oracle.nonzero))
 
 
-def _sample_witness(family, stratum, rng, tries=60):
+_WITNESS_TRIES = 60   # random points drawn per stratum before giving up
+
+
+def _sample_witness(family, stratum, rng):
     """Full rational point in the stratum: sample the free parameters,
     back-substitute the solved equalities newest-first, check the
     constraints.  Each solved expression is free of the names solved
@@ -268,7 +265,7 @@ def _sample_witness(family, stratum, rng, tries=60):
     equality, so newest-first reads only names already in the point."""
     solved = {name for name, _ in stratum.substitutions}
     pool = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
-    for _ in range(tries):
+    for _ in range(_WITNESS_TRIES):
         point = {n: rng.choice(pool) for n in family.ring.names if n not in solved}
         for name, expr in reversed(stratum.substitutions):
             point[name] = expr.eval(point)
@@ -378,12 +375,12 @@ def stratify(gamma, max_splits=60, seed=0):
             stratum.lambda_set, stratum.minimal_values = None, ()
             stratum.status = "unresolved"
             continue
-        concrete = family.member(stratum.witness)
-        check = algorithm1_lambda(concrete, gamma=gamma).lambda_set
-        if check != stratum.lambda_set:
+        # The concrete run reads Gamma off the witness, so it checks both.
+        check = algorithm1_lambda(family.member(stratum.witness))
+        if (check.gamma, check.lambda_set) != (gamma, stratum.lambda_set):
             raise DomainError(
                 f"stratum witness disagrees with the parametric run: "
-                f"{check} vs {stratum.lambda_set}")
+                f"{check.lambda_set} vs {stratum.lambda_set}")
 
     return StratificationReport(gamma, family, strata)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchforms import (BranchParametrization, DomainError, NumericalSemigroup,
-                         characteristic_sequence, coordinate_ring, default_precision, nu,
-                         semigroup_of, standard_basis_of_ring)
+                         ValidationError, characteristic_sequence, coordinate_ring,
+                         default_precision, nu, semigroup_of, standard_basis_of_ring)
 from branchforms.series import AbovePrecision
 from branchforms.strata import ConstraintOracle
 
@@ -32,6 +32,23 @@ def test_smooth_branch():
     phi = BranchParametrization.plane(1, {})
     assert characteristic_sequence(phi).exponents == (1,)
     assert semigroup_of(phi).generators == (1,)
+
+
+@pytest.mark.parametrize("coords", [
+    [{1: 1}, {0: 5}],
+    [{2: 1}, {0: 1, 3: 1}],
+    [{0: 1}, {3: 1}],
+    [{6: 1}, {14: 1, 17: 1}, {0: -1, 39: 1}],
+])
+def test_a_branch_off_the_origin_is_rejected(coords):
+    with pytest.raises(ValidationError, match="constant term"):
+        BranchParametrization(coords)
+
+
+def test_constant_terms_that_cancel_are_accepted():
+    phi = BranchParametrization([{2: 1}, [(0, 1), (0, -1), (3, 1)]])
+    assert phi.coords[1] == ((3, 1),)
+    assert semigroup_of(phi).generators == (2, 3)
 
 
 def test_non_primitive_rejected():

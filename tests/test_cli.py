@@ -91,6 +91,24 @@ def test_repeated_exponents_in_branch_json_add_up(capsys):
     assert phi.coords[2] == ((5, 2), (7, 1))
 
 
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--branch", '{"n":1,"y":[[0,"5"]]}'),
+    ("semigroup", "--branch", '{"n":1,"y":[[0,"5"]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[0,"1"],[3,"1"]]}',
+     "--form", '{"d":[["x",[]],["y",[[0,0,"1"]]]]}'),
+    ("eval-form", "--branch", '{"n":0,"y":[[3,"1"]]}',
+     "--form", '{"d":[["x",[]],["y",[[0,0,"1"]]]]}'),
+    ("eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',
+     "--branch", '{"n":2,"y":[[3,"1"]],"extra":[[[0,"2"],[5,"1"]]]}',
+     "--form", '{"d":[["x",[[1,0,"1"]]],["y",[]]]}'),
+])
+def test_a_branch_off_the_origin_is_a_usage_error(capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out["error"] == "usage"
+    assert "constant term" in out["detail"]
+
+
 def test_eval_form_single_and_multi(capsys):
     form = ('{"d":[["x",[[0,1,"-7"]]],["y",[[1,0,"3"]]]]}')
     code, out = invoke(capsys, "eval-form",
@@ -150,7 +168,7 @@ def test_eval_form_vanishing_pullback(capsys):
     assert out["above_precision"] > 0
 
 
-@pytest.mark.parametrize("precision", ["-3", "0"])
+@pytest.mark.parametrize("precision", ["-3", "0", "1"])
 def test_eval_form_rejects_nonpositive_precision(capsys, precision):
     form = '{"d":[["x",[[1,0,"1"]]],["y",[]]]}'
     code, out = invoke(capsys, "eval-form", "--branch", '{"n":2,"y":[[3,"1"]]}',

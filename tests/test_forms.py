@@ -259,8 +259,9 @@ def test_concrete_series_hold_integer_numerators():
 
 
 def test_parametric_series_hold_integral_numerators(monkeypatch):
-    # parametric numerators are ints or Polys with int coefficients over
-    # one positive int denominator, which does grow above 1
+    # parametric numerators are ints or Polys with a non-constant term and
+    # int coefficients over one positive int denominator, which does grow
+    # above 1; a constant numerator is an int wherever the series is built
     rep = stratify(NumericalSemigroup((6, 9, 19)))
     built = []
     init = TruncatedSeries.__init__
@@ -278,6 +279,6 @@ def test_parametric_series_hold_integral_numerators(monkeypatch):
     for series in built:
         assert type(series.den) is int and series.den > 0
         for c in series.coeffs:
-            assert type(c) is int or (isinstance(c, Poly) and all(
-                type(v) is int for v in c.terms.values()))
+            assert type(c) is int or (isinstance(c, Poly) and not c.is_constant()
+                                      and all(type(v) is int for v in c.terms.values()))
     assert any(series.den > 1 for series in built)

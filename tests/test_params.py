@@ -39,8 +39,10 @@ def test_division_only_by_constants():
     R = ring()
     a = R.gen("a")
     assert (2 * a) / 2 == a
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         (a * a) / a
+    with pytest.raises(TypeError):
+        a / R.constant(2)
 
 
 def test_subs_and_eval():
