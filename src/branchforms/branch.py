@@ -162,23 +162,16 @@ class StandardBasisOf:
     values: tuple
     gamma: NumericalSemigroup
 
-    @property
-    def elements(self):
-        """The basis as the tuples the tower carries: (pullback,) in a
-        parametric run, (pullback, representative) in a concrete one."""
-        columns = (self.pullbacks,) if self.polys is None else (self.pullbacks, self.polys)
-        return tuple(zip(*columns))
-
 
 def _cancel(target, reducer, o, cross=False):
     """Combine target with reducer so that their terms at t^o cancel.
 
-    target and reducer are tuples of whatever the caller tracks (always a
-    pullback series, plus its polynomial or 1-form when those are read); one
-    linear combination is applied to every component.  With T, R the
-    pullbacks over their denominators t_den, r_den and t_c, r_c their
-    numerators at t^o, the new pullback has the numerators T*r_c - R*t_c,
-    integer arithmetic throughout, over
+    target and reducer are tuples: a pullback series, plus the polynomial
+    representative in a concrete semiroot tower.  One linear combination
+    is applied to every component.  With T, R the pullbacks over their
+    denominators t_den, r_den and t_c, r_c their numerators at t^o, the
+    new pullback has the numerators T*r_c - R*t_c, integer arithmetic
+    throughout, over
 
     - t_den*r_c when r_c is an int (a constant) and cross is False: the
       value is target - (t_c r_den / t_den r_c) * reducer, an ordinary
@@ -186,30 +179,26 @@ def _cancel(target, reducer, o, cross=False):
     - t_den*r_den otherwise: the value is lp*target - lc*reducer for the
       true coefficients lc, lp at t^o, a cross-multiplication by lp
       (nonzero under the run's assumptions), which preserves all orders.
-      The S-process of two entries is this step with cross=True.
+      The S-process of two entries is this step with cross=True.  Only
+      pullbacks take it: parametric towers carry nothing else, and the
+      1-form completion carries pullbacks alone.
 
     `TruncatedSeries.lincomb` divides out the common factor, so the result
-    is the one canonical representation of its value.  The other
-    components, 1-forms and polynomials of a concrete run, take the same
-    combination with rational scalars.
+    is the one canonical representation of its value.  The
+    representatives take the same subtraction with a rational scalar.
     """
     t, r = target[0], reducer[0]
     tc, rc = t.coeffs[o], r.coeffs[o]
-    if not cross and isinstance(rc, int):
-        if rc < 0:
-            tc, rc = -tc, -rc
-        den = t.den * rc
-        pull = t.lincomb(rc, r, -tc, den)
-        if len(target) == 1:
-            return (pull,)
-        lam = Fraction(tc * r.den, den)
-        return (pull,) + tuple(x - y.scale(lam)
-                               for x, y in zip(target[1:], reducer[1:]))
-    pull = t.lincomb(rc, r, -tc, t.den * r.den)
+    if cross or not isinstance(rc, int):
+        return (t.lincomb(rc, r, -tc, t.den * r.den),)
+    if rc < 0:
+        tc, rc = -tc, -rc
+    den = t.den * rc
+    pull = t.lincomb(rc, r, -tc, den)
     if len(target) == 1:
         return (pull,)
-    lc, lp = t.coeff(o), r.coeff(o)
-    return (pull,) + tuple(x.scale(lp) - y.scale(lc)
+    lam = Fraction(tc * r.den, den)
+    return (pull,) + tuple(x - y.scale(lam)
                            for x, y in zip(target[1:], reducer[1:]))
 
 

@@ -10,10 +10,10 @@ Lambda beyond the semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 import heapq
 import itertools
-import operator
 
 from .branch import _cancel, _pullback_degree, semigroup_of, standard_basis_of_ring
 from .errors import DomainError, PrecisionError, ValidationError
@@ -183,23 +183,6 @@ class FormEntry:
     minimal: bool = False
 
 
-def _entry(elem, value):
-    """FormEntry of a carried tuple: (pull,) has no form, (pull, form) has."""
-    pull, form = (elem + (None,))[:2]
-    return FormEntry(form, pull, value)
-
-
-# How a product of ring-basis powers multiplies each component of an
-# entry: the pullback as product x entry, the 1-form through its
-# coefficients (Poly x OneForm would first go through a failed Poly.__mul__).
-_TIMES = (operator.mul, lambda poly, form: form.mul_poly(poly))
-
-
-def _times(prod, entry):
-    """prod x entry, componentwise over the width of prod."""
-    return tuple(f(p, e) for f, p, e in zip(_TIMES, prod, (entry.pull, entry.form)))
-
-
 @dataclass(frozen=True)
 class FormValueBasis:
     entries: tuple
@@ -211,9 +194,71 @@ class FormValueBasis:
         return tuple(e.value for e in self.entries if e.minimal)
 
 
-def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
-    """Final reduction of elem = (pull,) or (pull, form) modulo the
-    current basis.
+class _Reducers:
+    """The multiples of entries that one completion run cancels with.
+
+    A multiple (s, i) is the product of ring-basis powers named by the
+    exponent vector s times entry i.  Its pullback comes from the run's
+    `_ProductCache` of basis pullbacks; a value's reducer, the first
+    entry in discovery order whose value it exceeds by a member of Gamma,
+    is built once and kept by value: entries are only appended, so it
+    never changes once it exists.  In a concrete run (`polys`, the
+    representatives, not None) the 1-form of a multiple is built once
+    too, and only for the elements the run keeps (`certify`)."""
+
+    def __init__(self, sb, entries):
+        self.gamma = sb.gamma
+        self.entries = entries
+        self.pulls = _ProductCache([(p,) for p in sb.pullbacks])
+        self.polys = None if sb.polys is None else _ProductCache([(p,) for p in sb.polys])
+        self._by_value = {}
+        self._forms = {}
+
+    def pull(self, s, i):
+        return self.pulls.product(s)[0] * self.entries[i].pull
+
+    def of(self, value):
+        """(pullback, s, i) of value's reducer, or None when no entry
+        reduces value.  Gamma's representation of the difference is
+        computed for the reducer alone, to name its product of basis
+        powers."""
+        red = self._by_value.get(value)
+        if red is None:
+            i = next((i for i, e in enumerate(self.entries)
+                      if value - e.value in self.gamma), None)
+            if i is None:
+                return None
+            s = self.gamma.membership(value - self.entries[i].value)[1]
+            red = self._by_value[value] = (self.pull(s, i), s, i)
+            assert red[0].order() == value - 1
+        return red
+
+    def form(self, s, i):
+        if (s, i) not in self._forms:
+            self._forms[s, i] = self.entries[i].form.mul_poly(self.polys.product(s)[0])
+        return self._forms[s, i]
+
+    def certify(self, steps):
+        """The 1-form of a kept element, or None in a run without forms.
+
+        steps holds (a, b, s, i) per step, for the rational scalar a/b
+        (made a Fraction here, so a step that is thrown away makes none)
+        and the multiple (s, i): the S-process lp * (alpha, p) - lc *
+        (gamma, q) is the first two steps, and each cancel step after it
+        subtracts lam * (s, i).  They are replayed in the order the
+        pullback took them."""
+        if steps is None:
+            return None
+        (lp, alpha, p), (lc, gamma_v, q), *cancels = (
+            (Fraction(a, b), s, i) for a, b, s, i in steps)
+        form = self.form(alpha, p).scale(lp) - self.form(gamma_v, q).scale(lc)
+        for lam, s, i in cancels:
+            form = form - self.form(s, i).scale(lam)
+        return form
+
+
+def reduce_form(pull, steps, reducers, bound, oracle=None):
+    """Final reduction of the pullback pull modulo the current basis.
 
     Returns a FormEntry with the surviving value, or None (discard) when
     the chain leaves the bound.  Positions whose value is reducible by the
@@ -225,29 +270,30 @@ def reduce_form(elem, entries, gamma, bound, cache, oracle=None):
     oracle answers "nonzero" on every nonzero input, so its value is
     kept; the oracle is called only to record the split.
 
-    The reducer of a value is the first entry, in discovery order, whose
-    value it exceeds by a member of Gamma; Gamma's representation of that
-    difference is computed for the reducer alone, to name its product of
-    basis powers.
+    steps, in a concrete run, holds the S-process that made pull (see
+    `_Reducers.certify`); each cancel step appends its scalar, the true
+    coefficient ratio, and its reducer, and a kept element gets its 1-form
+    by replaying them.  A parametric run passes None and keeps no steps.
     """
-    if elem[0].precision < bound:
+    if pull.precision < bound:
         raise PrecisionError("series shorter than the reduction bound")
     o = 0
     while True:
-        pull = elem[0]
         while o < bound and not pull.coeffs[o]:
             o += 1
         if o >= bound:
             return None
         value = o + 1
-        entry = next((e for e in entries if value - e.value in gamma), None)
-        if entry is None:
+        red = reducers.of(value)
+        if red is None:
             if oracle is not None:
                 oracle.is_zero(pull.coeffs[o])
-            return _entry(elem, value)
-        red = _times(cache.product(gamma.membership(value - entry.value)[1]), entry)
-        assert red[0].order() == o
-        elem = _cancel(elem, red, o)
+            return FormEntry(reducers.certify(steps), pull, value)
+        red_pull, s, i = red
+        if steps is not None:
+            steps.append((pull.coeffs[o] * red_pull.den,
+                          pull.den * red_pull.coeffs[o], s, i))
+        pull = _cancel((pull,), (red_pull,), o)[0]
         o += 1
 
 
@@ -255,10 +301,12 @@ def algorithm1_core(sb, oracle=None, target=None):
     """Completion loop over the differentials of the ring standard basis.
 
     Returns the list of FormEntry making up a standard basis of the
-    pulled-back 1-form module, in discovery order.  Elements are carried
-    as tuples shaped like `sb.elements`: (pull,) for a parametric basis,
-    whose callers read values only, so FormEntry.form is None; (pull, form)
-    for a concrete one, the 1-form certifying the value.
+    pulled-back 1-form module, in discovery order.  The loop carries
+    pullbacks only.  A basis with representatives (`sb.polys`) makes a
+    concrete run, whose kept entries carry the 1-form certifying their
+    value, built from the steps of their reduction; without them
+    (a parametric basis, whose callers read values only) FormEntry.form
+    is None.
 
     S-processes are popped in increasing matched value m, and once m is
     popped the part of Lambda in [1, m] is final: the S-process of value m
@@ -271,20 +319,21 @@ def algorithm1_core(sb, oracle=None, target=None):
     """
     gamma = sb.gamma
     bound = gamma.conductor - 1
-    basis = sb.elements
-    cache = _ProductCache(basis)
+    concrete = sb.polys is not None
 
     # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
     # is the derivative of the basis pullback.  Basis pullbacks keep exact
     # (syntactic) zeros below their order, so lead extraction here never
     # needs the parametric oracle.
     entries = []
-    for b, v in zip(basis, sb.values):
-        elem = tuple(d(f) for d, f in zip((TruncatedSeries.derivative, differential), b))
-        lead = elem[0].leading()
+    for k, (b, v) in enumerate(zip(sb.pullbacks, sb.values)):
+        pull = b.derivative()
+        lead = pull.leading()
         assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
             f"nu(dh) = {lead} expected value {v}"
-        entries.append(_entry(elem, v))
+        entries.append(FormEntry(differential(sb.polys[k]) if concrete else None,
+                                 pull, v))
+    reducers = _Reducers(sb, entries)
     if target is not None:
         # Gamma below the conductor in one int(): a sum of shifted bits
         # would take time quadratic in the conductor
@@ -312,11 +361,12 @@ def algorithm1_core(sb, oracle=None, target=None):
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
         if target is not None and (have ^ want) & ((2 << m) - 1):
             return None
-        sp = _times(cache.product(alpha), entries[p])
-        sq = _times(cache.product(gamma_v), entries[q])
-        assert sp[0].order() == sq[0].order() == m - 1
-        s = _cancel(sp, sq, m - 1, cross=True)
-        result = reduce_form(s, entries, gamma, bound, cache, oracle)
+        sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
+        assert sp.order() == sq.order() == m - 1
+        steps = [(sq.coeffs[m - 1], sq.den, alpha, p),
+                 (sp.coeffs[m - 1], sp.den, gamma_v, q)] if concrete else None
+        s = _cancel((sp,), (sq,), m - 1, cross=True)[0]
+        result = reduce_form(s, steps, reducers, bound, oracle)
         if result is not None:
             entries.append(result)
             if target is not None:

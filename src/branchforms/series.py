@@ -253,10 +253,9 @@ class TruncatedSeries:
 
 class _ProductCache:
     """Products of powers of a basis of same-shaped tuples (a series plus
-    what the caller carries with it: `branch.StandardBasisOf.elements`, or
-    the 1-tuples of the series `Poly.eval_series` substitutes).  The basis
-    list may grow while the cache is in use; a product only reads the
-    elements it names."""
+    what the caller carries with it: the semiroot tower's elements, or
+    1-tuples of series or of polynomials).  The basis list may grow while
+    the cache is in use; a product only reads the elements it names."""
 
     def __init__(self, basis):
         self.basis = basis

@@ -11,9 +11,11 @@ from branchforms import (BranchParametrization, DomainError,
                          eval_form_orders_multi, minimal_s_processes, nu,
                          normal_form_family, pullback_form, semigroup_of,
                          standard_basis_of_ring, stratify)
+from branchforms import forms
 from branchforms.forms import algorithm1_core, assemble_lambda
 from branchforms.series import AbovePrecision, TruncatedSeries
 from branchforms.strata import ConstraintOracle, _run_once, _Task
+from conftest import random_branch
 
 X, Y = coordinate_ring(2).gens()
 
@@ -232,6 +234,56 @@ def test_certificate_width_follows_the_basis(gens):
     bare = algorithm1_core(dataclasses.replace(sb, polys=None))
     assert all(e.form is None for e in bare)
     assert [e.value for e in bare] == [e.value for e in full]
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (7, 9), (6, 13), (8, 12, 26, 53)])
+def test_certificates_have_their_values(gens):
+    # each entry's 1-form, pulled back in full, has the entry's value
+    rng = random.Random(f"certificates {gens}")
+    for _ in range(3):
+        phi = random_branch(gens, rng)
+        for e in algorithm1_lambda(phi).entries:
+            assert eval_form_order(phi, e.form) == e.value
+
+
+def test_concrete_run_certifies_kept_elements_only(monkeypatch):
+    # One concrete run of a <6,9,19> branch.  A 1-form is built only for an
+    # element the run keeps, by replaying its steps: two scalings for its
+    # S-process and one per cancel step, so an S-process that reduces to
+    # nothing costs no 1-form arithmetic.  Each value's reducer is built
+    # once, with the one call to Gamma's membership that names its product.
+    phi = BranchParametrization.plane(
+        6, {9: 1, 10: 1, 11: Fraction(-1, 2), 17: Fraction(1, 38)})
+    sb = standard_basis_of_ring(phi)
+    calls, scaled, represented = [], [], []
+    reduce_form, scale = forms.reduce_form, OneForm.scale
+    membership = NumericalSemigroup.membership
+
+    def spy_reduce(pull, steps, *args):
+        result = reduce_form(pull, steps, *args)
+        calls.append((steps, result))
+        return result
+
+    def spy_scale(self, c):
+        scaled.append(c)
+        return scale(self, c)
+
+    def spy_membership(self, z):
+        represented.append(z)
+        return membership(self, z)
+
+    monkeypatch.setattr(forms, "reduce_form", spy_reduce)
+    monkeypatch.setattr(OneForm, "scale", spy_scale)
+    monkeypatch.setattr(NumericalSemigroup, "membership", spy_membership)
+    entries = algorithm1_core(sb)
+    kept = [steps for steps, result in calls if result is not None]
+    dropped = [steps for steps, result in calls if result is None]
+    assert len(entries) == len(sb.values) + len(kept)
+    assert any(len(steps) > 2 for steps in dropped)
+    assert len(scaled) == sum(len(steps) for steps in kept)
+    cancels = [step for steps, _ in calls for step in steps[2:]]
+    reducers = {(s, i) for _a, _b, s, i in cancels}
+    assert len(represented) == len(reducers) < len(cancels)
 
 
 def test_parametric_entries_carry_no_forms():

@@ -3,9 +3,10 @@ recovery of Gamma from Lambda and a census of small classes.
 
 The files under tests/data/ hold the JSON of `stratify` on a fixed list of
 classes, the concrete form-value basis of the four running-example
-branches, the exit code and stdout of `semigroup` on edge cases and of
-`recover-gamma` and `decide` on seeded value sets, and a digest of
-`stratify` on every plane-branch semigroup with conductor <= 60.  The test
+branches, a digest of the concrete basis of further fixed branches, the
+exit code and stdout of `semigroup` on edge cases and of `recover-gamma`
+and `decide` on seeded value sets, and a digest of `stratify` on every
+plane-branch semigroup with conductor <= 60.  The test
 recomputes each document and compares the text byte for byte, so any
 change to strata, constraints, witnesses, values, 1-form certificates,
 Apery profiles or verdicts shows up here.
@@ -29,7 +30,7 @@ import pytest
 
 from branchforms import (BranchParametrization, NumericalSemigroup, ValueSet,
                          algorithm1_lambda, cli, stratify)
-from branchforms.jsonio import form_to_json, report_to_json
+from branchforms.jsonio import branch_from_json, form_to_json, report_to_json
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -59,6 +60,26 @@ def basis_doc(y_terms):
         "entries": [{"value": e.value, "minimal": e.minimal,
                      "form": form_to_json(e.form)} for e in basis.entries],
     })
+
+
+def _short_hash(doc):
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:12]
+
+
+def basis_digest_doc(name):
+    """Per branch listed in the file: the short hash of each entry's value,
+    minimal flag and 1-form, in discovery order.  The branches are the
+    three fixed frontier branches of the benchmark's lambda-corpus and
+    three seeded branches each of <4,6,13>, <6,13> and <6,14,45>; they
+    are read from the file itself, which writes each one out."""
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        records = json.load(fh)
+    for rec in records:
+        basis = algorithm1_lambda(branch_from_json(rec["branch"]))
+        assert list(basis.gamma.generators) == rec["gens"]
+        rec["entries"] = [_short_hash([e.value, e.minimal, form_to_json(e.form)])
+                          for e in basis.entries]
+    return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
 
 
 # The running example's candidate sets L1..L4.
@@ -162,7 +183,7 @@ def census_doc(max_conductor):
             "strata": len(strata),
             "unresolved": sum(s.status == "unresolved" for s in strata),
             "lambdas": sorted(
-                hashlib.sha256(json.dumps(s.lambda_set.to_json()).encode()).hexdigest()[:12]
+                _short_hash(s.lambda_set.to_json())
                 for s in strata if s.status == "resolved"),
         })
     return _dump(doc)
@@ -172,7 +193,8 @@ CASES = ([(f"stratify-{'-'.join(map(str, g))}.json", stratify_doc, g)
           for g in STRATIFY_CLASSES] +
          [(f"basis-running-{k}.json", basis_doc, y)
           for k, y in enumerate(RUNNING_EXAMPLE)] +
-         [("recovery.json", recovery_doc, None),
+         [("basis-digest.json", basis_digest_doc, "basis-digest.json"),
+          ("recovery.json", recovery_doc, None),
           ("census-60.json", census_doc, 60)])
 
 
