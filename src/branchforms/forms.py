@@ -16,7 +16,7 @@ import heapq
 import itertools
 
 from .branch import _cancel, _pullback_degree, semigroup_of, standard_basis_of_ring
-from .errors import DomainError, PrecisionError, ValidationError
+from .errors import DomainError, ValidationError
 from .series import AbovePrecision, TruncatedSeries, _ProductCache
 from .valueset import ValueSet
 
@@ -257,31 +257,29 @@ class _Reducers:
         return form
 
 
-def reduce_form(pull, steps, reducers, bound, oracle=None):
+def reduce_form(pull, steps, reducers, stop, oracle=None):
     """Final reduction of the pullback pull modulo the current basis.
 
-    Returns a FormEntry with the surviving value, or None (discard) when
-    the chain leaves the bound.  Positions whose value is reducible by the
-    basis are cancelled without a zero test: subtracting (c/lp) times a
-    value-matched multiple is a no-op when c happens to vanish, so only
-    coefficients at genuinely new values ever reach the oracle (this is
-    what keeps parametric runs from splitting on every intermediate
-    coefficient).  Such a coefficient is syntactically nonzero, and the
-    oracle answers "nonzero" on every nonzero input, so its value is
-    kept; the oracle is called only to record the split.
+    Returns a FormEntry with the surviving value, or None (discard) at the
+    first position o >= stop (see `algorithm1_core`).  Positions whose
+    value is reducible by the basis are cancelled without a zero test:
+    subtracting (c/lp) times a value-matched multiple is a no-op when c
+    happens to vanish, so only coefficients at genuinely new values ever
+    reach the oracle (this is what keeps parametric runs from splitting on
+    every intermediate coefficient).  Such a coefficient is syntactically
+    nonzero, and the oracle answers "nonzero" on every nonzero input, so
+    its value is kept; the oracle is called only to record the split.
 
     steps, in a concrete run, holds the S-process that made pull (see
     `_Reducers.certify`); each cancel step appends its scalar, the true
     coefficient ratio, and its reducer, and a kept element gets its 1-form
     by replaying them.  A parametric run passes None and keeps no steps.
     """
-    if pull.precision < bound:
-        raise PrecisionError("series shorter than the reduction bound")
     o = 0
     while True:
-        while o < bound and not pull.coeffs[o]:
+        while o < stop and not pull.coeffs[o]:
             o += 1
-        if o >= bound:
+        if o >= stop:
             return None
         value = o + 1
         red = reducers.of(value)
@@ -301,31 +299,38 @@ def algorithm1_core(sb, oracle=None, target=None):
     """Completion loop over the differentials of the ring standard basis.
 
     Returns the list of FormEntry making up a standard basis of the
-    pulled-back 1-form module, in discovery order.  The loop carries
-    pullbacks only.  A basis with representatives (`sb.polys`) makes a
-    concrete run, whose kept entries carry the 1-form certifying their
-    value, built from the steps of their reduction; without them
-    (a parametric basis, whose callers read values only) FormEntry.form
-    is None.
+    pulled-back 1-form module, in discovery order.  A basis with
+    representatives (`sb.polys`) makes a concrete run, whose kept entries
+    carry the 1-form certifying their value, built from the steps of their
+    reduction; without them (a parametric basis, whose callers read values
+    only) FormEntry.form is None.
 
     S-processes are popped in increasing matched value m, and once m is
     popped the part of Lambda in [1, m] is final: the S-process of value m
-    cancels its order m - 1, so what it leaves has value at least m + 1,
-    and every S-process pushed later pairs an entry of value above m.
-    With a target value set the loop keeps Lambda's part in [1, bound] as
-    a bitset (each entry marks v + Gamma) and compares it with the
-    target's part in [1, m] at each pop: on the first difference the run
-    cannot end at the target, and it returns None.
+    cancels its order m - 1, so what it leaves has value at least m + 1, and
+    every S-process pushed later pairs an entry of value above m.  The loop
+    keeps Lambda's part below mu as a bitset (each entry marks v + Gamma)
+    and stop, the highest value below mu it lacks: mu - 1 at first, then
+    only falling.  Every value above stop has a reducer, so a chain reaching
+    position stop (stored: series have length >= mu - 1) would cancel up to
+    the bound and be discarded; `reduce_form` drops it there, and the run
+    ends at the first pop with m >= stop, whose S-process starts at position
+    m.  Entries, steps and oracle calls (made only at a value with no
+    reducer) stay those of a run to the bound.  With a target value set the
+    bitset is compared with the target's part in [1, m] at each pop: on the
+    first difference the run cannot end at the target, and it returns None.
     """
     gamma = sb.gamma
     bound = gamma.conductor - 1
     concrete = sb.polys is not None
 
+    # Gamma below the conductor in one int(), not a quadratic sum of bits
+    gamma_bits = int("".join("01"[m] for m in reversed(gamma._table)) or "0", 2)
     # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
     # is the derivative of the basis pullback.  Basis pullbacks keep exact
     # (syntactic) zeros below their order, so lead extraction here never
     # needs the parametric oracle.
-    entries = []
+    entries, have, stop = [], 0, bound
     for k, (b, v) in enumerate(zip(sb.pullbacks, sb.values)):
         pull = b.derivative()
         lead = pull.leading()
@@ -333,23 +338,17 @@ def algorithm1_core(sb, oracle=None, target=None):
             f"nu(dh) = {lead} expected value {v}"
         entries.append(FormEntry(differential(sb.polys[k]) if concrete else None,
                                  pull, v))
+        have |= gamma_bits << v
     reducers = _Reducers(sb, entries)
     if target is not None:
-        # Gamma below the conductor in one int(): a sum of shifted bits
-        # would take time quadratic in the conductor
-        gamma_bits = int("".join("01"[m] for m in reversed(gamma._table)) or "0", 2)
         want = sum(1 << z for z in range(1, bound + 1) if z in target)
-        have = 0
-        for e in entries:
-            have |= gamma_bits << e.value
 
-    gens = gamma.generators
     heap = []
     counter = itertools.count()
 
     def push(p, q):
         for alpha, gamma_v, m in minimal_s_processes(
-                entries[p].value, entries[q].value, gens, bound - 1):
+                entries[p].value, entries[q].value, gamma.generators, bound - 1):
             heapq.heappush(heap, (m, next(counter), p, q, alpha, gamma_v))
 
     # Each pair p < q is pushed once: the initial entries in row-major
@@ -357,7 +356,7 @@ def algorithm1_core(sb, oracle=None, target=None):
     for p, q in itertools.combinations(range(len(entries)), 2):
         push(p, q)
 
-    while heap:
+    while heap and heap[0][0] < stop:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
         if target is not None and (have ^ want) & ((2 << m) - 1):
             return None
@@ -366,11 +365,12 @@ def algorithm1_core(sb, oracle=None, target=None):
         steps = [(sq.coeffs[m - 1], sq.den, alpha, p),
                  (sp.coeffs[m - 1], sp.den, gamma_v, q)] if concrete else None
         s = _cancel((sp,), (sq,), m - 1, cross=True)[0]
-        result = reduce_form(s, steps, reducers, bound, oracle)
+        result = reduce_form(s, steps, reducers, stop, oracle)
         if result is not None:
             entries.append(result)
-            if target is not None:
-                have |= gamma_bits << result.value
+            have |= gamma_bits << result.value
+            while have >> stop & 1:
+                stop -= 1
             for p in range(len(entries) - 1):
                 push(p, len(entries) - 1)
 

@@ -174,12 +174,12 @@ class TruncatedSeries:
             return TruncatedSeries(ring.series_mul(self.coeffs, other.coeffs, p),
                                    p, self.den * other.den, ring)
         out = [0] * p
+        right = [(j, b) for j, b in enumerate(other.coeffs[:p]) if b]
         for i, a in enumerate(self.coeffs[:p]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: p - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            for j, b in right if a else ():
+                if i + j >= p:
+                    break
+                out[i + j] += a * b
         return TruncatedSeries(out, p, self.den * other.den)
 
     def scale(self, c):
@@ -196,7 +196,7 @@ class TruncatedSeries:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = TruncatedSeries.from_terms([(0, 1)], self.precision)
+        result = TruncatedSeries((1,) + (0,) * (self.precision - 1), self.precision)
         base = self
         while k:
             if k & 1:

@@ -334,3 +334,67 @@ def test_parametric_series_hold_integral_numerators(monkeypatch):
             assert type(c) is int or (isinstance(c, Poly) and not c.is_constant()
                                       and all(type(v) is int for v in c.terms.values()))
     assert any(series.den > 1 for series in built)
+
+
+# The fixed <10,15,33> frontier branch: y(t) = sum c t^e over these terms.
+FRONTIER_10_15_33 = BranchParametrization.plane(10, {e: Fraction(c) for e, c in (
+    (15, "5"), (18, "3"), (19, "3"), (25, "-4/3"), (30, "-1/2"), (31, "-1/3"),
+    (33, "2"), (34, "4/3"), (35, "-3"), (39, "3/2"), (40, "-2"), (41, "2/3"),
+    (43, "1"), (48, "-1"), (51, "-3"), (55, "-1/2"), (66, "1/2"), (69, "-1/2"),
+    (74, "-1/2"), (76, "-2"), (78, "-1/3"), (81, "-2"), (84, "1"), (86, "3"),
+    (87, "-3/2"), (89, "4/3"), (90, "-2/3"), (93, "2"), (98, "-4"), (104, "2"),
+    (106, "-1/3"), (108, "1/3"), (109, "2/3"), (111, "1"), (112, "1"),
+    (115, "-1/3"), (116, "2"), (118, "1/2"), (120, "-2"), (121, "-4/3"),
+    (123, "-1"), (125, "-1/3"), (129, "3/2"), (132, "1"), (133, "-3"),
+    (137, "-3/2"), (138, "1"))})
+
+
+def _stop_branches():
+    rng = random.Random("stop at the conductor of Lambda")
+    for gens in [(6, 9, 19), (7, 9), (6, 13), (8, 12, 26, 53)]:
+        for _ in range(2):
+            yield random_branch(gens, rng)
+    yield FRONTIER_10_15_33
+
+
+@pytest.mark.parametrize("phi", list(_stop_branches()))
+def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
+    # stop is the highest value below mu that the final Lambda lacks.  Every
+    # value above it has a reducer, so each minimal S-process of the final
+    # entries with m >= stop, reduced up to the full bound mu - 1, ends
+    # discarded: a run that ends at stop loses no entry.
+    sb = standard_basis_of_ring(phi)
+    gens, mu = sb.gamma.generators, sb.gamma.conductor
+    entries = algorithm1_core(sb)
+    reducers = forms._Reducers(sb, entries)
+    stop = max(z for z in range(1, mu) if reducers.of(z) is None)
+    assert all(reducers.of(z) is not None for z in range(stop + 1, mu))
+    late = 0
+    for p, q in itertools.combinations(range(len(entries)), 2):
+        for alpha, gamma_v, m in minimal_s_processes(
+                entries[p].value, entries[q].value, gens, mu - 2):
+            if m >= stop:
+                sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
+                s = forms._cancel((sp,), (sq,), m - 1, cross=True)[0]
+                assert forms.reduce_form(s, None, reducers, mu - 1) is None
+                late += 1
+    assert late
+
+
+def test_frontier_run_reduce_count(monkeypatch):
+    # One concrete run of the fixed <10,15,33> branch reduces 14
+    # S-processes and keeps 3.  Its Lambda is cofinal from 73, so the run
+    # stops far below the bound mu - 1 = 137, to which it would make 62.
+    calls = []
+    reduce_form = forms.reduce_form
+
+    def spy_reduce(*args):
+        result = reduce_form(*args)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(forms, "reduce_form", spy_reduce)
+    basis = algorithm1_lambda(FRONTIER_10_15_33)
+    assert (len(calls), sum(calls)) == (14, 3)
+    assert basis.lambda_set.cofinal == 73
+    assert [e.value for e in basis.entries] == [10, 15, 33, 28, 44, 49]
