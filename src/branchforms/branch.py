@@ -163,60 +163,54 @@ class StandardBasisOf:
     gamma: NumericalSemigroup
 
 
-def _cancel(target, reducer, o, cross=False):
-    """Combine target with reducer so that their terms at t^o cancel.
-
-    target and reducer are tuples: a pullback series, plus the polynomial
-    representative in a concrete semiroot tower.  One linear combination
-    is applied to every component.  With T, R the pullbacks over their
-    denominators t_den, r_den and t_c, r_c their numerators at t^o, the
-    new pullback has the numerators T*r_c - R*t_c, integer arithmetic
-    throughout, over
+def _cancel(t, r, o, cross=False):
+    """Combine the series t with r so that their terms at t^o cancel.  With
+    T, R their numerators and t_c, r_c those at t^o, the result has the
+    numerators T*r_c - R*t_c, integer arithmetic throughout, over
 
     - t_den*r_c when r_c is an int (a constant) and cross is False: the
-      value is target - (t_c r_den / t_den r_c) * reducer, an ordinary
-      subtraction;
-    - t_den*r_den otherwise: the value is lp*target - lc*reducer for the
-      true coefficients lc, lp at t^o, a cross-multiplication by lp
-      (nonzero under the run's assumptions), which preserves all orders.
-      The S-process of two entries is this step with cross=True.  Only
-      pullbacks take it: parametric towers carry nothing else, and the
-      1-form completion carries pullbacks alone.
+      value is t - (t_c r_den / t_den r_c) * r, an ordinary subtraction;
+    - t_den*r_den otherwise: the value is lp*t - lc*r for the true
+      coefficients lc, lp at t^o, a cross-multiplication by lp (nonzero
+      under the run's assumptions), which preserves all orders.  The
+      S-process of two entries is this step with cross=True.
 
     `TruncatedSeries.lincomb` divides out the common factor, so the result
-    is the one canonical representation of its value.  The
-    representatives take the same subtraction with a rational scalar.
+    is the one canonical representation of its value.
     """
-    t, r = target[0], reducer[0]
     tc, rc = t.coeffs[o], r.coeffs[o]
     if cross or not isinstance(rc, int):
-        return (t.lincomb(rc, r, -tc, t.den * r.den),)
+        return t.lincomb(rc, r, -tc, t.den * r.den)
     if rc < 0:
         tc, rc = -tc, -rc
-    den = t.den * rc
-    pull = t.lincomb(rc, r, -tc, den)
-    if len(target) == 1:
-        return (pull,)
-    lam = Fraction(tc * r.den, den)
-    return (pull,) + tuple(x - y.scale(lam)
-                           for x, y in zip(target[1:], reducer[1:]))
+    return t.lincomb(rc, r, -tc, t.den * rc)
+
+
+def _replay(start, steps, multiple):
+    """start - sum (a/b) * multiple(*key) over the steps (a, b, *key): the
+    cancel steps a pullback took, each with its true coefficient ratio
+    a/b, replayed on a polynomial or a 1-form."""
+    for a, b, *key in steps:
+        start = start - multiple(*key).scale(Fraction(a, b))
+    return start
 
 
 def standard_basis_of_ring(phi, gamma=None, oracle=None):
     """Minimal standard basis of the local ring via a semiroot tower.
 
-    Starting from x, each next representative h_{k+1} comes from y
-    (k = 0) or from the power h_k^{n_k} by the reduction step the 1-form
-    completion runs (`forms.reduce_form`): the leading term at each order
-    o < v_{k+1} is cancelled against the product of representatives that
+    Starting from x, each next pullback h_{k+1} comes from y (k = 0) or
+    from the power h_k^{n_k} by the reduction step the 1-form completion
+    runs (`forms.reduce_form`): the leading term at each order o <
+    v_{k+1} is cancelled against the product of basis pullbacks that
     Gamma's unique representation of o names.  An order below v_{k+1}
     that lies in Gamma is a sum of v_0, ..., v_k only, so that product
-    uses the representatives already built; an order outside Gamma is a
+    uses the pullbacks already built; an order outside Gamma is a
     DomainError.
 
-    A run under an oracle is parametric and its callers read pullbacks
-    only, so it builds no representatives (polys is None), the same rule
-    `forms.algorithm1_core` applies to 1-forms; a concrete run builds them.
+    The tower reduces pullbacks only.  A concrete run records each cancel
+    step and builds each representative by `_replay`, as `forms` builds
+    the 1-form of a kept entry.  A run under an oracle is parametric and
+    builds no representatives (polys is None): its callers read pullbacks.
     """
     if gamma is None:
         gamma = semigroup_of(phi)
@@ -225,36 +219,39 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
     if xs.order() != v[0]:
         raise DomainError("x(t) must have order v_0")
 
-    # Each element is the tuple (pullback,) or (pullback, representative).
-    width = 2 if oracle is None else 1
-    x_poly, y_poly = coordinate_ring(2).gens()
-    basis = [(xs, x_poly)[:width]]
-    cache = _ProductCache(basis)
+    pulls, polys = [xs], None
+    cache = _ProductCache(pulls)
+    if oracle is None:
+        x_poly, y_poly = coordinate_ring(2).gens()
+        polys = [x_poly]
+        poly_cache = _ProductCache(polys)
     for k in range(gamma.g):
         target = v[k + 1]
-        if k == 0:
-            h = (ys, y_poly)[:width]
-        else:
-            h = tuple(f ** gamma.n[k] for f in basis[k])
+        h = ys if k == 0 else cache.power(k, gamma.n[k])
+        steps = None if polys is None else []
         # Positions below the target are cancelled without a zero test:
         # subtracting a value-matched multiple is a no-op when the
         # coefficient vanishes, so only the coefficient at the target
         # itself ever needs the oracle.
         for o in range(target):
-            if not h[0].coeffs[o]:
+            if not h.coeffs[o]:
                 continue
             member, s = gamma.membership(o)
             if not member:
                 raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
             prod = cache.product(s)
-            assert prod[0].order() == o
+            assert prod.order() == o
+            if steps is not None:
+                steps.append((h.coeffs[o] * prod.den, h.den * prod.coeffs[o], s))
             h = _cancel(h, prod, o)
-        lead = h[0].coeffs[target]
+        lead = h.coeffs[target]
         if oracle is not None:
             oracle.is_zero(lead)  # called only to record a split
         if not lead:
             raise DomainError(f"semiroot pullback vanished at target value {target}")
-        basis.append(h)
+        pulls.append(h)
+        if steps is not None:
+            start = y_poly if k == 0 else poly_cache.power(k, gamma.n[k])
+            polys.append(_replay(start, steps, poly_cache.product))
 
-    polys = tuple(b[1] for b in basis) if oracle is None else None
-    return StandardBasisOf(polys, tuple(b[0] for b in basis), v, gamma)
+    return StandardBasisOf(polys and tuple(polys), tuple(pulls), v, gamma)

@@ -15,7 +15,8 @@ from functools import lru_cache
 import heapq
 import itertools
 
-from .branch import _cancel, _pullback_degree, semigroup_of, standard_basis_of_ring
+from .branch import (_cancel, _pullback_degree, _replay, semigroup_of,
+                     standard_basis_of_ring)
 from .errors import DomainError, ValidationError
 from .series import AbovePrecision, TruncatedSeries, _ProductCache
 from .valueset import ValueSet
@@ -65,7 +66,7 @@ def pullback_form(form, coord_series):
         raise ValidationError("form has more coordinates than the parametrization")
     total = None
     args = coord_series[: len(form.coeffs[0].ring.names)]
-    cache = _ProductCache([(s,) for s in args])
+    cache = _ProductCache(args)
     for a, coord in zip(form.coeffs, coord_series):
         if not a:
             continue
@@ -204,18 +205,20 @@ class _Reducers:
     is built once and kept by value: entries are only appended, so it
     never changes once it exists.  In a concrete run (`polys`, the
     representatives, not None) the 1-form of a multiple is built once
-    too, and only for the elements the run keeps (`certify`)."""
+    too, and only for the elements the run keeps (`certify`).  s = 0
+    names the entry itself."""
 
     def __init__(self, sb, entries):
         self.gamma = sb.gamma
         self.entries = entries
-        self.pulls = _ProductCache([(p,) for p in sb.pullbacks])
-        self.polys = None if sb.polys is None else _ProductCache([(p,) for p in sb.polys])
+        self.pulls = _ProductCache(sb.pullbacks)
+        self.polys = None if sb.polys is None else _ProductCache(sb.polys)
         self._by_value = {}
         self._forms = {}
 
     def pull(self, s, i):
-        return self.pulls.product(s)[0] * self.entries[i].pull
+        prod, pull = self.pulls.product(s), self.entries[i].pull
+        return pull if prod is None else prod * pull
 
     def of(self, value):
         """(pullback, s, i) of value's reducer, or None when no entry
@@ -235,26 +238,22 @@ class _Reducers:
 
     def form(self, s, i):
         if (s, i) not in self._forms:
-            self._forms[s, i] = self.entries[i].form.mul_poly(self.polys.product(s)[0])
+            prod, form = self.polys.product(s), self.entries[i].form
+            self._forms[s, i] = form if prod is None else form.mul_poly(prod)
         return self._forms[s, i]
 
     def certify(self, steps):
         """The 1-form of a kept element, or None in a run without forms.
 
         steps holds (a, b, s, i) per step, for the rational scalar a/b
-        (made a Fraction here, so a step that is thrown away makes none)
-        and the multiple (s, i): the S-process lp * (alpha, p) - lc *
-        (gamma, q) is the first two steps, and each cancel step after it
-        subtracts lam * (s, i).  They are replayed in the order the
-        pullback took them."""
+        (made a Fraction only here, so a step that is thrown away makes
+        none) and the multiple (s, i).  The S-process lp * (alpha, p) -
+        lc * (gamma, q) is the first two: `branch._replay` starts from lp
+        * (alpha, p) and subtracts the rest in the order they were taken."""
         if steps is None:
             return None
-        (lp, alpha, p), (lc, gamma_v, q), *cancels = (
-            (Fraction(a, b), s, i) for a, b, s, i in steps)
-        form = self.form(alpha, p).scale(lp) - self.form(gamma_v, q).scale(lc)
-        for lam, s, i in cancels:
-            form = form - self.form(s, i).scale(lam)
-        return form
+        (a, b, alpha, p), *rest = steps
+        return _replay(self.form(alpha, p).scale(Fraction(a, b)), rest, self.form)
 
 
 def reduce_form(pull, steps, reducers, stop, oracle=None):
@@ -291,7 +290,7 @@ def reduce_form(pull, steps, reducers, stop, oracle=None):
         if steps is not None:
             steps.append((pull.coeffs[o] * red_pull.den,
                           pull.den * red_pull.coeffs[o], s, i))
-        pull = _cancel((pull,), (red_pull,), o)[0]
+        pull = _cancel(pull, red_pull, o)
         o += 1
 
 
@@ -324,8 +323,6 @@ def algorithm1_core(sb, oracle=None, target=None):
     bound = gamma.conductor - 1
     concrete = sb.polys is not None
 
-    # Gamma below the conductor in one int(), not a quadratic sum of bits
-    gamma_bits = int("".join("01"[m] for m in reversed(gamma._table)) or "0", 2)
     # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
     # is the derivative of the basis pullback.  Basis pullbacks keep exact
     # (syntactic) zeros below their order, so lead extraction here never
@@ -338,10 +335,10 @@ def algorithm1_core(sb, oracle=None, target=None):
             f"nu(dh) = {lead} expected value {v}"
         entries.append(FormEntry(differential(sb.polys[k]) if concrete else None,
                                  pull, v))
-        have |= gamma_bits << v
+        have |= gamma._bits << v
     reducers = _Reducers(sb, entries)
     if target is not None:
-        want = sum(1 << z for z in range(1, bound + 1) if z in target)
+        want = int("".join("01"[z in target] for z in range(bound, 0, -1)) + "0", 2)
 
     heap = []
     counter = itertools.count()
@@ -364,11 +361,11 @@ def algorithm1_core(sb, oracle=None, target=None):
         assert sp.order() == sq.order() == m - 1
         steps = [(sq.coeffs[m - 1], sq.den, alpha, p),
                  (sp.coeffs[m - 1], sp.den, gamma_v, q)] if concrete else None
-        s = _cancel((sp,), (sq,), m - 1, cross=True)[0]
+        s = _cancel(sp, sq, m - 1, cross=True)
         result = reduce_form(s, steps, reducers, stop, oracle)
         if result is not None:
             entries.append(result)
-            have |= gamma_bits << result.value
+            have |= gamma._bits << result.value
             while have >> stop & 1:
                 stop -= 1
             for p in range(len(entries) - 1):
@@ -378,21 +375,20 @@ def algorithm1_core(sb, oracle=None, target=None):
 
 
 def assemble_lambda(entries, gamma):
-    """Minimal basis flags plus the value set Lambda = union(nu_i + Gamma)."""
+    """Minimal basis flags plus the value set Lambda = union(nu_i + Gamma),
+    as one bitset: in ascending order, an entry whose value is not in it
+    yet is minimal and adds value + Gamma.  Gamma's bits run up to the
+    largest value, which can exceed mu (3 > mu = 2 in <2,3>)."""
     mu = gamma.conductor
     by_value = sorted(entries, key=lambda e: e.value)
-    kept_values = []
+    gamma_bits = gamma._bits | ((1 << max(by_value[-1].value + 1, mu)) - (1 << mu))
+    have = 0
     for e in by_value:
-        reducible = any((e.value - kv) in gamma for kv in kept_values)
-        e.minimal = not reducible
-        if not reducible:
-            kept_values.append(e.value)
+        e.minimal = not have >> e.value & 1
+        if e.minimal:
+            have |= gamma_bits << e.value
     cof = max(mu, 1)
-    # kept_values ascend and are positive, so one scan of Gamma below cof
-    # minus the least of them holds every z with v + z < cof.
-    zs = gamma.members_up_to(max(cof - kept_values[0], 0))
-    members = {v + z for v in kept_values for z in zs if v + z < cof}
-    return ValueSet(tuple(members), cof)
+    return ValueSet(tuple(z for z in range(1, cof) if have >> z & 1), cof)
 
 
 def algorithm1_lambda(phi):

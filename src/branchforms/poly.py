@@ -435,16 +435,18 @@ class Poly:
 
         args must have one series per variable; the result precision is the
         minimum of the argument precisions.  power_cache, a
-        `series._ProductCache` over the 1-tuples (a,) of args, lets several
-        polynomials share their power products.
+        `series._ProductCache` over args, lets several polynomials share
+        their power products; the constant term starts the sum.
         """
         if len(args) != len(self.ring.names):
             raise ValueError("argument count does not match variable count")
         if power_cache is None:
-            power_cache = _ProductCache([(a,) for a in args])
-        total = TruncatedSeries.zero(min(a.precision for a in args))
-        for e, c in self.terms.items():
-            total = total + power_cache.product(e)[0].scale(c)
+            power_cache = _ProductCache(args)
+        total = TruncatedSeries.from_terms([(0, self._t.get(0, 0))],
+                                           min(a.precision for a in args))
+        for e, c in self._t.items():
+            if e:
+                total = total + power_cache.product(self.ring._unpack(e)).scale(c)
         return total
 
     # -- normal form -----------------------------------------------------------

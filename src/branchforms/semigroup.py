@@ -117,6 +117,11 @@ class NumericalSemigroup:
         del table[conductor:]
         return table
 
+    @cached_property
+    def _bits(self):
+        """The table as one int: bit z is set for each member z < conductor."""
+        return int("".join("01"[m] for m in reversed(self._table)) or "0", 2)
+
     @property
     def conductor(self):
         return len(self._table)

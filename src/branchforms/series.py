@@ -112,18 +112,20 @@ class TruncatedSeries:
         """terms: iterable of (exponent, coefficient); exponents >= precision
         drop.  Coefficients are lifted to integer numerators, or Poly
         numerators with int coefficients, over the lcm of their
-        denominators."""
-        coeffs = [0] * precision
+        denominators; only positions that a term lands on are lifted."""
+        hit = {}
         for e, c in terms:
             if e < 0:
                 raise ValueError("negative exponent")
             if e < precision:
-                coeffs[e] = coeffs[e] + c
-        ring = next((c.ring for c in coeffs
-                     if not isinstance(c, (int, Fraction))), None)
-        den = lcm(*(c.denominator for c in coeffs))
-        return TruncatedSeries([_integral(c, den) for c in coeffs],
-                               precision, den, ring)
+                hit[e] = hit.get(e, 0) + c
+        ring = next((c.ring for c in hit.values() if not isinstance(c, (int, Fraction))),
+                    None)
+        den = lcm(*(c.denominator for c in hit.values()))
+        coeffs = [0] * precision
+        for e, c in hit.items():
+            coeffs[e] = _integral(c, den)
+        return TruncatedSeries(coeffs, precision, den, ring)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -193,19 +195,6 @@ class TruncatedSeries:
         return TruncatedSeries([c * a if a else 0 for a in self.coeffs],
                                self.precision, den, self.ring)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = TruncatedSeries((1,) + (0,) * (self.precision - 1), self.precision)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def derivative(self):
         if self.precision < 2:
             raise PrecisionError("cannot differentiate a precision-1 series")
@@ -252,26 +241,36 @@ class TruncatedSeries:
 
 
 class _ProductCache:
-    """Products of powers of a basis of same-shaped tuples (a series plus
-    what the caller carries with it: the semiroot tower's elements, or
-    1-tuples of series or of polynomials).  The basis list may grow while
-    the cache is in use; a product only reads the elements it names."""
+    """Products of powers of a basis of series or of polynomials.  The basis
+    list may grow while the cache is in use; a product only reads the
+    elements it names."""
 
     def __init__(self, basis):
         self.basis = basis
         self._pow = {}
         self._prod = {}
 
+    def power(self, i, d):
+        """basis[i] ** d (d >= 1), squared from the element itself."""
+        if d == 1:
+            return self.basis[i]
+        p = self._pow.get((i, d))
+        if p is None:
+            half = self.power(i, d >> 1)
+            p = half * half
+            if d & 1:
+                p = p * self.basis[i]
+            self._pow[i, d] = p
+        return p
+
     def product(self, delta):
+        """The product of basis[i] ** delta[i]; None when it is empty."""
         delta = tuple(delta)
         if delta not in self._prod:
             out = None
             for i, d in enumerate(delta):
-                if not d:
-                    continue
-                if (i, d) not in self._pow:
-                    self._pow[i, d] = tuple(f ** d for f in self.basis[i])
-                p = self._pow[i, d]
-                out = p if out is None else tuple(a * b for a, b in zip(out, p))
-            self._prod[delta] = out or tuple(f ** 0 for f in self.basis[0])
+                if d:
+                    p = self.power(i, d)
+                    out = p if out is None else out * p
+            self._prod[delta] = out
         return self._prod[delta]

@@ -349,6 +349,25 @@ FRONTIER_10_15_33 = BranchParametrization.plane(10, {e: Fraction(c) for e, c in 
     (137, "-3/2"), (138, "1"))})
 
 
+def test_no_series_product_has_a_unit_factor(monkeypatch):
+    # Powers start from the element and an empty product names the entry
+    # itself, so no series product of a concrete or a parametric run only
+    # copies its other factor.
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def spy_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", spy_mul)
+    algorithm1_lambda(FRONTIER_10_15_33)
+    stratify(NumericalSemigroup((6, 9, 19)))
+    assert products
+    for factors in products:
+        assert all(any(s.coeffs[1:]) for s in factors)
+
+
 def _stop_branches():
     rng = random.Random("stop at the conductor of Lambda")
     for gens in [(6, 9, 19), (7, 9), (6, 13), (8, 12, 26, 53)]:
@@ -375,7 +394,7 @@ def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
                 entries[p].value, entries[q].value, gens, mu - 2):
             if m >= stop:
                 sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
-                s = forms._cancel((sp,), (sq,), m - 1, cross=True)[0]
+                s = forms._cancel(sp, sq, m - 1, cross=True)
                 assert forms.reduce_form(s, None, reducers, mu - 1) is None
                 late += 1
     assert late

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchforms import AbovePrecision, Poly, PrecisionError, Ring, TruncatedSeries
+from branchforms import (AbovePrecision, Poly, PrecisionError, Ring, TruncatedSeries,
+                         coordinate_ring)
 from branchforms.branch import _cancel
+from branchforms.series import _ProductCache
 
 
 def series(terms, precision=20):
@@ -51,9 +53,26 @@ def test_shift_and_scale():
 
 
 def test_pow_matches_repeated_mul():
-    s = series([(1, Fraction(1)), (2, Fraction(3))], precision=12)
-    assert s ** 3 == s * s * s
-    assert (s ** 0).order() == 0
+    # the product cache squares from the element itself, for series with
+    # int or Poly numerators and for polynomials alike; the empty product
+    # is None, and a first power is the element
+    a, b = Ring(("a", "b")).gens()
+    x, y = coordinate_ring(2).gens()
+    for f, g in (
+            (series([(1, Fraction(1)), (2, Fraction(3))], 12),
+             series([(2, Fraction(-1, 2)), (5, Fraction(2, 3))], 12)),
+            (TruncatedSeries.from_terms([(1, a), (2, b * Fraction(1, 2)), (3, 1)], 10),
+             TruncatedSeries.from_terms([(1, Fraction(2, 3)), (2, a - b)], 10)),
+            (x + y.scale(Fraction(1, 2)), x * y - 2)):
+        cache = _ProductCache([f, g])
+        assert cache.product((0, 0)) is None and cache.product([]) is None
+        assert cache.power(0, 1) is f and cache.product((0, 1)) is g
+        want = f
+        for d in range(2, 7):
+            want = want * f
+            assert cache.power(0, d) == want
+            assert cache.power(0, d) is cache.power(0, d)
+        assert cache.product((3, 2)) == f * f * f * g * g
 
 
 def test_pluggable_zero_test():
@@ -131,9 +150,9 @@ def test_series_arithmetic_matches_fraction_reference(a, b, q, k):
     assert values(sa.scale(k)) == [k * x for x in a]
     if len(a) > 1:
         assert values(sa.derivative()) == [(i + 1) * a[i + 1] for i in range(len(a) - 1)]
-    ref = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
-    for e in range(4):
-        assert values(sa ** e) == ref
+    powers, ref = _ProductCache([sa]), a
+    for e in range(1, 5):
+        assert values(powers.power(0, e)) == ref
         ref = ref_mul(ref, a)
     nonzero = [(i, x) for i, x in enumerate(a) if x]
     if nonzero:
@@ -290,10 +309,10 @@ def test_fraction_free_cancel_matches_rational_reference(a, b, data):
         want = [x - lam * y for x, y in zip(a, b)]
     else:
         want = [x * lp - y * lc for x, y in zip(a, b)]
-    (got,) = _cancel((t,), (r,), o)
+    got = _cancel(t, r, o)
     assert not got.coeffs[o]
     numerators_match(got, want)
-    (sp,) = _cancel((t,), (r,), o, cross=True)
+    sp = _cancel(t, r, o, cross=True)
     numerators_match(sp, [x * lp - y * lc for x, y in zip(a, b)])
 
 
@@ -315,6 +334,6 @@ def test_cancelled_terms_leave_no_zero_entry():
     a, b = PARAMS.gens()
     t = TruncatedSeries.from_terms([(0, a + b), (1, a + b)], 2)
     r = TruncatedSeries.from_terms([(0, a - b)], 2)
-    (sp,) = _cancel((t,), (r,), 0, cross=True)
+    sp = _cancel(t, r, 0, cross=True)
     assert sp.coeffs == (0, a * a - b * b)
     assert sp.coeffs[1].terms == {(2, 0): 1, (0, 2): -1}
