@@ -37,7 +37,7 @@ class BranchParametrization:
                 if e < 0:
                     raise ValidationError("negative exponent in parametrization")
                 if c:
-                    terms[e] = terms.get(e, 0) + c
+                    terms[e] = terms[e] + c if e in terms else c
             if terms.get(0):
                 raise ValidationError(f"coordinate {len(cleaned)} has a constant "
                                       "term: a branch passes through the origin")

@@ -1,8 +1,11 @@
 """Factoring of polynomials over the rationals.
 
-Polynomials that are one irreducible factor by a linear argument (see
-`_single_factor`) are answered here; sympy is imported only for the
-polynomials that rule cannot settle.
+A polynomial p is its monomial content m = x_1^k_1...x_r^k_r times a
+cofactor p/m that no variable divides.  When p/m is a constant, or one
+irreducible factor by a linear argument (see `_factors_in_house`), the
+factors are the variables of m and that cofactor, and they are answered
+here in `sympy.factor_list`'s order; sympy is imported only for the
+polynomials this cannot settle.
 
 `ParamPoly` and `ParamRing` are other names of `poly.Poly` and `poly.Ring`
 (the same classes, not subclasses), kept for code that imports them from
@@ -19,37 +22,48 @@ ParamPoly = Poly
 ParamRing = Ring
 
 
-def _single_factor(p):
-    """(f,) when the non-constant p is provably a single irreducible factor
-    f up to a constant, else None.
+def _factors_in_house(p):
+    """The irreducible factors of the non-constant p, normalized and in
+    sympy's order, when its monomial content settles them; else None.
 
-    Two shapes are recognised:
+    Let m be the monomial content of p and q = p/m.  The factors are the
+    variables of m, plus q.normalized() when q is not constant and passes
+    the linear rule: some variable x occurs in exactly one term of q, to
+    degree 1.  Then q = A*x + B with A a rational times a monomial free of
+    x and B != 0 free of x.  A common irreducible factor of A and B in
+    Q[other variables] would be a variable dividing A and every term of B,
+    that is every term of q, and none does.  So q has degree 1 in x and is
+    primitive over the UFD Q[other variables]; by Gauss's lemma it is
+    irreducible.
 
-    (a) p = c*x^k: the factor is x.
-    (b) No variable divides every term of p, and some variable x occurs in
-        exactly one term, to degree 1.  Then p = A*x + B with A a rational
-        times a monomial free of x and B != 0 free of x.  A common
-        irreducible factor of A and B in Q[other variables] would be a
-        variable dividing A and every term of B, that is every term of p.
-        So p has degree 1 in x and is primitive over the UFD Q[other
-        variables]; by Gauss's lemma it is irreducible, and the factor is
-        p.normalized().
-
-    Everything else (monomials in two or more variables, a monomial factor
-    times a cofactor, an x-coefficient that is not a monomial) is None.
+    The order is `sympy.factor_list`'s.  `together` splits m off q, its
+    variables in name order, and the factors are then sorted, stably, by
+    (length of the dense rep, number of gens, multiplicity, rep).  A
+    variable has the rep [1, 0], and q in one variable, c1*x + c0 with
+    c1 > 0 and c0 != 0, has [c1, c0]: both of length 2 in one gen.  A q
+    in two or more variables sorts after all of them.  So the key
+    (number of gens, multiplicity, rep) gives sympy's order here.
     """
-    exps = list(p.terms)
-    if len(exps) == 1:
-        used = [i for i, d in enumerate(exps[0]) if d]
-        return (p.ring.gen(p.ring.names[used[0]]),) if len(used) == 1 else None
-    columns = list(zip(*exps))
-    if any(all(col) for col in columns):
-        return None
-    for col in columns:
-        hits = [d for d in col if d]
-        if hits == [1]:
-            return (p.normalized(),)
-    return None
+    exps = p.terms
+    content = [min(col) for col in zip(*exps)]
+    found = [(p.ring.gen(n), (1, k, (1, 0)))
+             for n, k in sorted((n, k) for n, k in zip(p.ring.names, content)
+                                if k)]
+    if len(exps) > 1:
+        if not any([d - k for d in col if d != k] == [1]
+                   for col, k in zip(zip(*exps), content)):
+            return None
+        # every exponent of p is at least its content: subtract packed keys
+        m = p.ring._pack(content)
+        q = Poly._new(p.ring, {key - m: c for key, c in p._t.items()})
+        q = q.normalized()
+        if len(q.variables()) > 1:
+            found.append((q, (2,)))
+        else:
+            rep = tuple(c for _e, c in sorted(q.terms.items(), reverse=True))
+            found.append((q, (1, 1, rep)))
+    found.sort(key=lambda item: item[1])
+    return tuple(f for f, _key in found)
 
 
 def irreducible_factors(p):
@@ -60,9 +74,9 @@ def irreducible_factors(p):
     """
     if not p or p.is_constant():
         return ()
-    single = _single_factor(p)
-    if single is not None:
-        return single
+    found = _factors_in_house(p)
+    if found is not None:
+        return found
     import sympy
 
     symbols = {n: sympy.Symbol(n) for n in p.ring.names}

@@ -372,16 +372,21 @@ class Poly:
                          {e: _exact(c / other) for e, c in self._t.items()})
 
     def __pow__(self, k):
+        """self**k by squaring from self, so p**1 is p itself and makes no
+        product; p**0 is one."""
         if k < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
+        if not k:
+            return self.ring.one()
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def partial(self, i):
         """Partial derivative with respect to variable i."""
@@ -397,25 +402,49 @@ class Poly:
     # -- substitution and evaluation -----------------------------------------
 
     def subs(self, mapping):
-        """Substitute variables; mapping maps names to Poly or rationals."""
-        if not any(n in mapping for n in self.variables()):
+        """Substitute variables; mapping maps names to Poly or rationals.
+
+        Names the polynomial does not use, in its ring or not, are
+        ignored.  The terms are grouped by their degrees in the substituted
+        variables, each power of a value is built once, and every group's
+        product goes straight into one packed dict."""
+        ring = self.ring
+        used = reduce(or_, self._t, 0)
+        fields = []
+        for name, val in mapping.items():
+            i = ring.index.get(name)
+            if i is not None and used >> ring._shifts[i] & _FIELD:
+                if not isinstance(val, Poly):
+                    val = ring.constant(val)
+                elif val.ring is not ring:
+                    raise ValueError("mixed polynomial rings")
+                fields.append((ring._shifts[i], val))
+        if not fields:
             return self
-        result = self.ring.zero()
-        for e, c in self.terms.items():
-            term = self.ring.constant(c)
-            for i, d in enumerate(e):
-                if not d:
-                    continue
-                name = self.ring.names[i]
-                if name in mapping:
-                    val = mapping[name]
-                    if not isinstance(val, Poly):
-                        val = self.ring.constant(val)
-                    term = term * val ** d
-                else:
-                    term = term * self.ring.gen(name) ** d
-            result = result + term
-        return result
+        clear = ~sum(_FIELD << s for s, _ in fields)
+        groups = {}
+        for k, c in self._t.items():
+            degrees = tuple(k >> s & _FIELD for s, _ in fields)
+            groups.setdefault(degrees, []).append((k & clear, c))
+        powers = [{} for _ in fields]
+        terms = {}
+        get = terms.get
+        for degrees, rest in groups.items():
+            factor = None
+            for (_s, val), d, cache in zip(fields, degrees, powers):
+                if d:
+                    power = cache.get(d)
+                    if power is None:
+                        power = cache[d] = val ** d
+                    factor = power if factor is None else factor * power
+            for kf, cf in (factor._t.items() if factor is not None
+                           else ((0, 1),)):
+                for kr, cr in rest:
+                    k = kr + kf
+                    terms[k] = get(k, 0) + cr * cf
+        terms = _ints({k: c for k, c in terms.items() if c})
+        ring._check((terms,))
+        return Poly._new(ring, terms)
 
     def eval(self, point):
         """Evaluate at a rational point given as {name: Fraction}."""

@@ -7,11 +7,11 @@ with polynomial coefficients hits leading coefficients whose vanishing
 depends on the parameters; each such coefficient splits the parameter
 space into a vanishing locus and its complement.  A run goes on as the
 complement (the generic child) and records the split; each vanishing
-child runs again from the ring basis with its equality substituted.  The
-leaves of the split tree are the strata, each with one value set Lambda
-and a rational witness.  `stratify` walks the whole tree; `find_witness`
-walks it towards one target Lambda, stopping each run where its Lambda
-leaves the target.
+child runs again from the ring basis, on its parent's substituted family
+with its own equality substituted.  The leaves of the split tree are the
+strata, each with one value set Lambda and a rational witness.
+`stratify` walks the whole tree; `find_witness` walks it towards one
+target Lambda, stopping each run where its Lambda leaves the target.
 """
 
 from __future__ import annotations
@@ -183,9 +183,16 @@ class StratificationReport:
 
 @dataclass
 class _Task:
+    """A node of the split tree.  phi and base are the family and its base
+    assumptions with every substitution but the newest applied: those of
+    the parent's run.  `_run_once` applies the newest when it takes the
+    task up."""
+
     substitutions: list
     equalities: list
     nonzero: list            # Poly assumptions, current coordinates
+    phi: BranchParametrization
+    base: list
 
 
 def _subs_coeff(c, name, expr):
@@ -229,23 +236,26 @@ def _run_once(family, task, factors, target=None):
     as the generic child of every split it meets; factors is the
     factorization memo of the whole walk.
 
+    Taking the task up applies its newest substitution to task.phi and
+    task.base, in place, so that its equality children start from them.
+
     Returns (splits, result): the unknown factors of each split in the
     order met, and (Lambda, minimal values, final nonzero assumptions).
     The result is None when an assumption becomes zero (the branch is
     empty; no split is met then) or when Lambda leaves the target (see
     `algorithm1_core`); the splits met before that are still returned."""
-    phi = family.phi
-    nonzero = list(family.base_nonzero)
-    for name, expr in task.substitutions:
-        applied = _apply_substitution(phi, nonzero, name, expr)
+    if task.substitutions:
+        applied = _apply_substitution(task.phi, task.base,
+                                      *task.substitutions[-1])
         if applied is None:
             return (), None
-        phi, nonzero = applied
+        task.phi, task.base = applied
+    nonzero = list(task.base)
     for f in task.nonzero:
         if f not in nonzero:
             nonzero.append(f)
     oracle = ConstraintOracle(nonzero, factors)
-    sb = standard_basis_of_ring(phi, gamma=family.gamma, oracle=oracle)
+    sb = standard_basis_of_ring(task.phi, gamma=family.gamma, oracle=oracle)
     entries = algorithm1_core(sb, oracle=oracle, target=target)
     if entries is None:
         return tuple(oracle.splits), None
@@ -287,7 +297,10 @@ def _walk(family, max_splits, target=None):
     coefficients: one child per factor set to zero (earlier factors kept
     nonzero), plus a generic child with every factor nonzero.  A run goes
     on as the generic child of each split it meets, so only the equality
-    children run again, from the ring basis with their substitution.
+    children run again, from the ring basis.  A child starts from its
+    parent's substituted family and base assumptions and applies only its
+    own substitution, when it is taken up; an assumption that becomes zero
+    there empties the branch.
     Equalities that are not linear in any single parameter leave the child
     unresolved rather than guessed.
 
@@ -318,7 +331,8 @@ def _walk(family, max_splits, target=None):
     The equality children of the splits met before the stop still queue.
     """
     factors = {}  # normalized Poly -> irreducible factors, for this walk only
-    tasks = [(0, (), _Task([], [], []))]   # heap of (depth, path, task)
+    root = _Task([], [], [], family.phi, list(family.base_nonzero))
+    tasks = [(0, (), root)]   # heap of (depth, path, task)
     splits = 0
     while tasks:
         _depth, path, task = heapq.heappop(tasks)
@@ -332,7 +346,8 @@ def _walk(family, max_splits, target=None):
             for j, f in enumerate(unknown):
                 child = _Task(list(task.substitutions),
                               task.equalities + [f],
-                              nonzero + list(unknown[:j]))
+                              nonzero + list(unknown[:j]),
+                              task.phi, task.base)
                 key = (len(path) + 1, path + (j,))
                 solved = _solve_linear(f)
                 if solved is None:

@@ -14,7 +14,8 @@ from branchforms import (BranchParametrization, DomainError,
 from branchforms import forms
 from branchforms.forms import algorithm1_core, assemble_lambda
 from branchforms.series import AbovePrecision, TruncatedSeries
-from branchforms.strata import ConstraintOracle, _run_once, _Task
+from branchforms.strata import (ConstraintOracle, _apply_substitution,
+                               _run_once, _Task)
 from conftest import random_branch
 
 X, Y = coordinate_ring(2).gens()
@@ -324,7 +325,12 @@ def test_parametric_series_hold_integral_numerators(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
     for s in rep.strata:
-        task = _Task(list(s.substitutions), list(s.equalities), list(s.nonzero))
+        # a task starts from its parent's family and base assumptions
+        phi, base = rep.family.phi, list(rep.family.base_nonzero)
+        for name, expr in s.substitutions[:-1]:
+            phi, base = _apply_substitution(phi, base, name, expr)
+        task = _Task(list(s.substitutions), list(s.equalities), list(s.nonzero),
+                     phi, base)
         splits, (lam, _minimal, _nonzero) = _run_once(rep.family, task, {})
         assert splits == () and lam == s.lambda_set
     assert built

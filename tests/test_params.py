@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchforms import NumericalSemigroup, normal_form_family
-from branchforms.params import _single_factor, irreducible_factors
+from branchforms.params import _factors_in_house, irreducible_factors
 from branchforms.poly import Poly, Ring
 
 
@@ -208,49 +208,120 @@ def monomial_times_cofactor(draw):
 
 @st.composite
 def non_monomial_x_coefficient(draw):
-    """A*x + B with A of at least two terms; the other variables never
-    occur to degree 1, so no variable is linear in a single term."""
+    """A*x + B with A of at least two terms and a constant term in B, so
+    no variable divides every term; the other variables never occur to
+    degree 1, so no variable is linear in a single term."""
     i = draw(st.integers(0, 2))
     rests = st.tuples(st.sampled_from((0, 2, 3)), st.sampled_from((0, 2, 3)))
     a = draw(st.lists(rests, min_size=2, max_size=3, unique=True))
     b = draw(st.lists(rests, max_size=3, unique=True))
     terms = {monomial(i, 1, r): draw(coeffs) for r in a}
     terms.update({monomial(i, 0, r): draw(coeffs) for r in b})
+    terms[(0, 0, 0)] = draw(coeffs)
     return Poly(XYZ, terms)
+
+
+# Names whose string order (a10 < a2 < a9) is not their ring order.
+A9 = Ring(("a2", "a9", "a10", "a21"))
+
+
+@st.composite
+def content_times_cofactor(draw):
+    """m * q: a monomial content m in up to three variables with
+    exponents up to 3, times a cofactor q that no variable divides: a
+    constant, linear in one variable (c1*x + c0), or in one term linear
+    in a variable with further terms in others."""
+    m = {n: draw(st.integers(0, 3)) for n in A9.names}
+    p = A9.constant(draw(coeffs))
+    for n, k in m.items():
+        p = p * A9.gen(n) ** k
+    x = A9.gen(draw(st.sampled_from(A9.names)))
+    kind = draw(st.sampled_from(("constant", "univariate", "linear")))
+    if kind == "constant":
+        return p
+    q = draw(coeffs) * x + draw(coeffs)
+    if kind == "linear":
+        others = [A9.gen(n) for n in A9.names if A9.gen(n) != x]
+        y, z = draw(st.permutations(others))[:2]
+        q = (q * draw(st.sampled_from((1, y, y * z)))
+             + draw(coeffs) * y ** draw(st.integers(1, 3))
+             + draw(coeffs) * z ** draw(st.integers(0, 2)))
+    return p * q
 
 
 @settings(max_examples=80, deadline=None)
 @given(shape_a() | shape_b())
 def test_single_factor_shapes_agree_with_sympy(p):
-    assert _single_factor(p) is not None
-    assert irreducible_factors(p) == sympy_factors(p)
+    found = _factors_in_house(p)
+    assert found is not None and len(found) == 1
+    assert irreducible_factors(p) == found == sympy_factors(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_variable_monomial() | monomial_times_cofactor()
+       | content_times_cofactor())
+def test_content_shapes_are_factored_in_house_in_sympy_order(p):
+    found = _factors_in_house(p)
+    assert found is not None
+    assert irreducible_factors(p) == found == sympy_factors(p)
+
+
+def test_in_house_order_follows_sympy_on_names_and_multiplicities():
+    a2, a9, a10, a21 = (A9.gen(n) for n in ("a2", "a9", "a10", "a21"))
+    cases = [
+        (a10 * a9, ["a10", "a9"]),          # name order, not ring order
+        (3 * a9**2 * a10**2, ["a10", "a9"]),
+        (a9 * a10**2 * (a21 + 2), ["a9", "a21 + 2", "a10"]),
+        (a9 * (a9 - 1), ["a9 - 1", "a9"]),  # rep [1, -1] before [1, 0]
+        (a9 * (2 * a9 - 1), ["a9", "2*a9 - 1"]),
+        (a9**2 * (a9 - 1), ["a9 - 1", "a9"]),
+        (a2**2 * a21 * (a2**3 + a21 * a9 + 1), ["a21", "a2", "a2^3 + a9*a21 + 1"]),
+    ]
+    for p, expected in cases:
+        assert [str(f) for f in _factors_in_house(p)] == expected
+        assert irreducible_factors(p) == sympy_factors(p)
 
 
 @settings(max_examples=60, deadline=None)
-@given(two_variable_monomial() | monomial_times_cofactor()
-       | non_monomial_x_coefficient())
+@given(non_monomial_x_coefficient())
 def test_other_shapes_reach_sympy_and_keep_its_order(p):
-    assert _single_factor(p) is None
+    assert _factors_in_house(p) is None
     assert irreducible_factors(p) == sympy_factors(p)
 
 
-def test_polynomials_of_the_6_13_class_that_need_sympy():
-    """The five distinct coefficients of stratify(<6,13>) that the linear
-    rule leaves to sympy, with the factors sympy gives, in its order."""
+def ring_6_13():
     R = normal_form_family(NumericalSemigroup((6, 13))).ring
-    g = {n: R.gen(n) for n in R.names}
+    return {n: R.gen(n) for n in R.names}
+
+
+def test_polynomials_of_the_6_13_class_that_need_sympy():
+    """The one distinct coefficient of stratify(<6,13>) that the content
+    and linear rules leave to sympy: a14 has degree 6 and a17 a
+    coefficient that is not a monomial."""
+    g = ring_6_13()
     a14, a15, a16, a17 = g["a14"], g["a15"], g["a16"], g["a17"]
-    a21, a22, a23, a27, a28, a29, a35 = (g[n] for n in (
-        "a21", "a22", "a23", "a27", "a28", "a29", "a35"))
-    F = Fraction
-    cases = [
-        (-249444 * a14**6 + 644904 * a14**4 * a15 + 146016 * a14**3 * a16
+    p = (-249444 * a14**6 + 644904 * a14**4 * a15 + 146016 * a14**3 * a16
          - 620568 * a14**2 * a15**2 + 657072 * a14**2 * a17
          - 1654848 * a14 * a15 * a16 + 997776 * a15**3 - 632736 * a15 * a17
-         + 711828 * a16**2,
-         ["41*a14^6 - 106*a14^4*a15 - 24*a14^3*a16 + 102*a14^2*a15^2"
-          " - 108*a14^2*a17 + 272*a14*a15*a16 - 164*a15^3 + 104*a15*a17"
-          " - 117*a16^2"]),
+         + 711828 * a16**2)
+    assert _factors_in_house(p) is None
+    factors = irreducible_factors(p)
+    assert [str(f) for f in factors] == [
+        "41*a14^6 - 106*a14^4*a15 - 24*a14^3*a16 + 102*a14^2*a15^2"
+        " - 108*a14^2*a17 + 272*a14*a15*a16 - 164*a15^3 + 104*a15*a17"
+        " - 117*a16^2"]
+    assert factors == sympy_factors(p)
+
+
+def test_polynomials_of_the_6_13_class_with_monomial_content():
+    """The four distinct coefficients of stratify(<6,13>) that reached
+    sympy only to split off a monomial content, with the factors sympy
+    gives, in its order."""
+    g = ring_6_13()
+    a14, a21, a22, a23, a27, a28, a29, a35 = (g[n] for n in (
+        "a14", "a21", "a22", "a23", "a27", "a28", "a29", "a35"))
+    F = Fraction
+    cases = [
         (F(2507984833, 77228944) * a14**10 + 12744 * a14**2 * a21
          - 4212 * a14 * a22,
          ["a14", "2507984833*a14^9 + 984205662336*a14*a21 - 325288312128*a22"]),
@@ -270,7 +341,6 @@ def test_polynomials_of_the_6_13_class_that_need_sympy():
         (-144144 * a27 * a35, ["a27", "a35"]),
     ]
     for p, expected in cases:
-        assert _single_factor(p) is None
-        factors = irreducible_factors(p)
+        factors = _factors_in_house(p)
         assert [str(f) for f in factors] == expected
-        assert factors == sympy_factors(p)
+        assert irreducible_factors(p) == factors == sympy_factors(p)

@@ -229,3 +229,70 @@ def test_exponents_stop_below_the_guard_bit():
         Poly(ABC, {(2 ** 31, 0, 0): 1})
     with pytest.raises(ValueError):
         Poly(ABC, {(1, -1, 0): 1})
+
+
+# -- packed substitution against a term-by-term reference -----------------------
+
+
+def termwise_subs(p, mapping):
+    """Substitution as the definition reads: one Poly per term, each
+    variable of the ring replaced by its value, or kept, to its degree."""
+    ring = p.ring
+    result = ring.zero()
+    for e, c in p.terms.items():
+        term = ring.constant(c)
+        for name, d in zip(ring.names, e):
+            val = mapping.get(name, ring.gen(name))
+            for _ in range(d):
+                term = term * val
+        result = result + term
+    return result
+
+
+sub_values = ref_polys.map(make) | st.integers(-3, 3) | ref_coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_polys,
+       st.dictionaries(st.sampled_from(("a", "b", "c", "d")), sub_values,
+                       max_size=4),
+       st.lists(ref_coeffs, min_size=3, max_size=3))
+def test_packed_subs_matches_termwise_reference(p, mapping, values):
+    # "d" is not a name of the ring; names the polynomial does not use are
+    # ignored, and then the polynomial itself comes back
+    P = make(p)
+    S = P.subs(mapping)
+    assert as_ref(S) == as_ref(termwise_subs(P, mapping))
+    if not P.variables() & set(mapping):
+        assert S is P
+    point = dict(zip(ABC.names, values))
+    moved = {n: v.eval(point) if isinstance(v, Poly) else Fraction(v)
+             for n, v in mapping.items() if n in ABC.index}
+    assert S.eval(point) == P.eval({**point, **moved})
+
+
+def test_subs_drops_cancelled_terms_and_checks_exponents_and_rings():
+    a, b, c = ABC.gens()
+    assert (a * c - b * c + 1).subs({"a": b}).terms == {(0, 0, 0): 1}
+    assert (a - 2 * b).subs({"a": 1, "b": Fraction(1, 2)}).terms == {}
+    with pytest.raises(OverflowError):
+        (a ** 2 * c).subs({"a": b ** 2 ** 30})
+    with pytest.raises(ValueError):
+        a.subs({"a": coordinate_ring(2).gen("x")})
+
+
+def test_powers_start_from_the_base(monkeypatch):
+    a, b, _c = ABC.gens()
+    p = a + 2 * b
+    square = p * p
+    real = Poly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert p ** 0 == 1 and not calls
+    assert p ** 1 == p and not calls
+    assert p ** 2 == square and len(calls) == 1

@@ -253,3 +253,55 @@ def test_each_polynomial_is_factored_once_per_stratify_call(monkeypatch):
     stratify(NumericalSemigroup((6, 13)))  # the memo does not outlive a call
     assert len(seen) == 64
     assert {str(p) for p in seen[32:]} == {str(p) for p in seen[:32]}
+
+
+def test_sympy_factors_only_what_the_content_rule_cannot(monkeypatch):
+    # Of the 32 polynomials stratify(<6,13>) factors, four only split off
+    # a monomial content and one (see tests/test_params.py) needs sympy.
+    import sympy
+    real = sympy.factor_list
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", counted)
+    stratify(NumericalSemigroup((6, 13)))
+    assert len(calls) == 1
+
+
+def test_each_equality_child_applies_one_substitution(monkeypatch):
+    # A child starts from its parent's substituted family and applies only
+    # its own substitution: one per child run, none for a root run.
+    real_apply, real_run = strata._apply_substitution, strata._run_once
+    applied, children = [], []
+
+    def apply(*args):
+        applied.append(args)
+        return real_apply(*args)
+
+    def run(family, task, *args):
+        children.append(bool(task.substitutions))
+        return real_run(family, task, *args)
+
+    monkeypatch.setattr(strata, "_apply_substitution", apply)
+    monkeypatch.setattr(strata, "_run_once", run)
+    for gens in ((6, 9, 19), (6, 9, 23), (6, 14, 45), (7, 9), (6, 13)):
+        stratify(NumericalSemigroup(gens))
+    assert len(applied) == sum(children) == 55
+
+
+def test_map_coeffs_adds_no_polynomials(monkeypatch):
+    family = normal_form_family(NumericalSemigroup((6, 13)))
+    calls = []
+    real = Poly._combine
+
+    def counted(self, other, sign):
+        calls.append(other)
+        return real(self, other, sign)
+
+    monkeypatch.setattr(Poly, "_combine", counted)
+    phi = family.phi.map_coeffs(lambda c: c)
+    assert not calls
+    assert phi.coords == family.phi.coords
