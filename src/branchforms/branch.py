@@ -186,6 +186,29 @@ def _cancel(t, r, o, cross=False):
     return t.lincomb(rc, r, -tc, t.den * rc)
 
 
+def _reduce(pull, steps, reducer, stop):
+    """The one reduction loop of both standard bases: cancel each nonzero
+    position o < stop of pull against reducer(o), (r, *key) with r of order
+    o, or None when nothing reduces o.  A nonzero numerator gets no further
+    zero test: subtracting a value-matched multiple is a no-op when the
+    coefficient vanishes.  steps (unless None) gets (a, b, *key) per step,
+    a/b its true coefficient ratio, for `_replay`.  Returns (pull, o), o
+    the first position with no reducer, or stop.
+    """
+    for o in range(stop):
+        if not pull.coeffs[o]:
+            continue
+        red = reducer(o)
+        if red is None:
+            return pull, o
+        r, *key = red
+        assert r.order() == o
+        if steps is not None:
+            steps.append((pull.coeffs[o] * r.den, pull.den * r.coeffs[o], *key))
+        pull = _cancel(pull, r, o)
+    return pull, stop
+
+
 def _replay(start, steps, multiple):
     """start - sum (a/b) * multiple(*key) over the steps (a, b, *key): the
     cancel steps a pullback took, each with its true coefficient ratio
@@ -195,11 +218,11 @@ def _replay(start, steps, multiple):
     return start
 
 
-def standard_basis_of_ring(phi, gamma=None, oracle=None):
+def standard_basis_of_ring(phi, gamma=None):
     """Minimal standard basis of the local ring via a semiroot tower.
 
     Starting from x, each next pullback h_{k+1} comes from y (k = 0) or
-    from the power h_k^{n_k} by the reduction step the 1-form completion
+    from the power h_k^{n_k} by `_reduce`, the loop the 1-form completion
     runs (`forms.reduce_form`): the leading term at each order o <
     v_{k+1} is cancelled against the product of basis pullbacks that
     Gamma's unique representation of o names.  An order below v_{k+1}
@@ -207,10 +230,11 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
     uses the pullbacks already built; an order outside Gamma is a
     DomainError.
 
-    The tower reduces pullbacks only.  A concrete run records each cancel
-    step and builds each representative by `_replay`, as `forms` builds
-    the 1-form of a kept entry.  A run under an oracle is parametric and
-    builds no representatives (polys is None): its callers read pullbacks.
+    The tower reduces pullbacks only.  When y's series holds rationals
+    (no parameter ring) the run is concrete: it records each cancel step
+    and builds each representative by `_replay`, as `forms` builds the
+    1-form of a kept entry.  Over a family it builds no representatives
+    (polys is None): its callers read pullbacks.
     """
     if gamma is None:
         gamma = semigroup_of(phi)
@@ -221,33 +245,22 @@ def standard_basis_of_ring(phi, gamma=None, oracle=None):
 
     pulls, polys = [xs], None
     cache = _ProductCache(pulls)
-    if oracle is None:
+    if ys.ring is None:
         x_poly, y_poly = coordinate_ring(2).gens()
         polys = [x_poly]
         poly_cache = _ProductCache(polys)
     for k in range(gamma.g):
-        target = v[k + 1]
-        h = ys if k == 0 else cache.power(k, gamma.n[k])
-        steps = None if polys is None else []
-        # Positions below the target are cancelled without a zero test:
-        # subtracting a value-matched multiple is a no-op when the
-        # coefficient vanishes, so only the coefficient at the target
-        # itself ever needs the oracle.
-        for o in range(target):
-            if not h.coeffs[o]:
-                continue
+
+        def reducer(o):
             member, s = gamma.membership(o)
             if not member:
                 raise DomainError(f"intermediate order {o} outside <v_0..v_{k}>")
-            prod = cache.product(s)
-            assert prod.order() == o
-            if steps is not None:
-                steps.append((h.coeffs[o] * prod.den, h.den * prod.coeffs[o], s))
-            h = _cancel(h, prod, o)
-        lead = h.coeffs[target]
-        if oracle is not None:
-            oracle.is_zero(lead)  # called only to record a split
-        if not lead:
+            return cache.product(s), s
+
+        steps = None if polys is None else []
+        h, target = _reduce(ys if k == 0 else cache.power(k, gamma.n[k]),
+                            steps, reducer, v[k + 1])
+        if not h.coeffs[target]:
             raise DomainError(f"semiroot pullback vanished at target value {target}")
         pulls.append(h)
         if steps is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import jsonio
@@ -32,10 +31,15 @@ def _load_json(arg, what):
     """arg is inline JSON or a file path."""
     text = arg
     if not arg.lstrip().startswith(("{", "[")):
-        if not os.path.exists(arg):
-            raise ValidationError(f"{what}: no such file {arg!r}")
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError as exc:
+            raise ValidationError(f"{what}: no such file {arg!r}") from exc
+        except OSError as exc:
+            raise ValidationError(f"{what}: cannot read {arg!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{what}: {arg!r} is not UTF-8 text") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

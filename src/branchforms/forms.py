@@ -15,7 +15,7 @@ from functools import lru_cache
 import heapq
 import itertools
 
-from .branch import (_cancel, _pullback_degree, _replay, semigroup_of,
+from .branch import (_cancel, _pullback_degree, _reduce, _replay, semigroup_of,
                      standard_basis_of_ring)
 from .errors import DomainError, ValidationError
 from .series import AbovePrecision, TruncatedSeries, _ProductCache
@@ -40,10 +40,8 @@ class OneForm:
         return any(self.coeffs)
 
     def scale(self, c):
-        return OneForm(tuple(a.scale(c) for a in self.coeffs))
-
-    def mul_poly(self, p):
-        return OneForm(tuple(p * a for a in self.coeffs))
+        """c * self, for c a rational or a polynomial."""
+        return OneForm(tuple(c * a for a in self.coeffs))
 
     def __sub__(self, other):
         return OneForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
@@ -233,13 +231,12 @@ class _Reducers:
                 return None
             s = self.gamma.membership(value - self.entries[i].value)[1]
             red = self._by_value[value] = (self.pull(s, i), s, i)
-            assert red[0].order() == value - 1
         return red
 
     def form(self, s, i):
         if (s, i) not in self._forms:
             prod, form = self.polys.product(s), self.entries[i].form
-            self._forms[s, i] = form if prod is None else form.mul_poly(prod)
+            self._forms[s, i] = form if prod is None else form.scale(prod)
         return self._forms[s, i]
 
     def certify(self, steps):
@@ -256,45 +253,24 @@ class _Reducers:
         return _replay(self.form(alpha, p).scale(Fraction(a, b)), rest, self.form)
 
 
-def reduce_form(pull, steps, reducers, stop, oracle=None):
-    """Final reduction of the pullback pull modulo the current basis.
-
-    Returns a FormEntry with the surviving value, or None (discard) at the
-    first position o >= stop (see `algorithm1_core`).  Positions whose
-    value is reducible by the basis are cancelled without a zero test:
-    subtracting (c/lp) times a value-matched multiple is a no-op when c
-    happens to vanish, so only coefficients at genuinely new values ever
-    reach the oracle (this is what keeps parametric runs from splitting on
-    every intermediate coefficient).  Such a coefficient is syntactically
-    nonzero, and the oracle answers "nonzero" on every nonzero input, so
-    its value is kept; the oracle is called only to record the split.
+def reduce_form(pull, steps, reducers, stop):
+    """Final reduction of the pullback pull modulo the current basis by
+    `branch._reduce`: a FormEntry with the first value that has no
+    reducer, or None (discard) when nothing is left below stop (see
+    `algorithm1_core`).
 
     steps, in a concrete run, holds the S-process that made pull (see
     `_Reducers.certify`); each cancel step appends its scalar, the true
     coefficient ratio, and its reducer, and a kept element gets its 1-form
     by replaying them.  A parametric run passes None and keeps no steps.
     """
-    o = 0
-    while True:
-        while o < stop and not pull.coeffs[o]:
-            o += 1
-        if o >= stop:
-            return None
-        value = o + 1
-        red = reducers.of(value)
-        if red is None:
-            if oracle is not None:
-                oracle.is_zero(pull.coeffs[o])
-            return FormEntry(reducers.certify(steps), pull, value)
-        red_pull, s, i = red
-        if steps is not None:
-            steps.append((pull.coeffs[o] * red_pull.den,
-                          pull.den * red_pull.coeffs[o], s, i))
-        pull = _cancel(pull, red_pull, o)
-        o += 1
+    pull, o = _reduce(pull, steps, lambda o: reducers.of(o + 1), stop)
+    if o == stop:
+        return None
+    return FormEntry(reducers.certify(steps), pull, o + 1)
 
 
-def algorithm1_core(sb, oracle=None, target=None):
+def algorithm1_core(sb, target=None):
     """Completion loop over the differentials of the ring standard basis.
 
     Returns the list of FormEntry making up a standard basis of the
@@ -314,10 +290,11 @@ def algorithm1_core(sb, oracle=None, target=None):
     position stop (stored: series have length >= mu - 1) would cancel up to
     the bound and be discarded; `reduce_form` drops it there, and the run
     ends at the first pop with m >= stop, whose S-process starts at position
-    m.  Entries, steps and oracle calls (made only at a value with no
-    reducer) stay those of a run to the bound.  With a target value set the
-    bitset is compared with the target's part in [1, m] at each pop: on the
-    first difference the run cannot end at the target, and it returns None.
+    m.  Entries and steps stay those of a run to the bound.  With a target
+    value set the bitset is compared with the target's part in [1, m] at
+    each pop: on the first difference the run cannot end at the target,
+    and it stops there and returns the entries kept so far, whose Lambda
+    differs from the target in [1, m].
     """
     gamma = sb.gamma
     bound = gamma.conductor - 1
@@ -325,8 +302,7 @@ def algorithm1_core(sb, oracle=None, target=None):
 
     # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
     # is the derivative of the basis pullback.  Basis pullbacks keep exact
-    # (syntactic) zeros below their order, so lead extraction here never
-    # needs the parametric oracle.
+    # (syntactic) zeros below their order, so the lead is read off directly.
     entries, have, stop = [], 0, bound
     for k, (b, v) in enumerate(zip(sb.pullbacks, sb.values)):
         pull = b.derivative()
@@ -356,13 +332,13 @@ def algorithm1_core(sb, oracle=None, target=None):
     while heap and heap[0][0] < stop:
         m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
         if target is not None and (have ^ want) & ((2 << m) - 1):
-            return None
+            break
         sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
         assert sp.order() == sq.order() == m - 1
         steps = [(sq.coeffs[m - 1], sq.den, alpha, p),
                  (sp.coeffs[m - 1], sp.den, gamma_v, q)] if concrete else None
         s = _cancel(sp, sq, m - 1, cross=True)
-        result = reduce_form(s, steps, reducers, stop, oracle)
+        result = reduce_form(s, steps, reducers, stop)
         if result is not None:
             entries.append(result)
             have |= gamma._bits << result.value

@@ -447,16 +447,23 @@ class Poly:
         return Poly._new(ring, terms)
 
     def eval(self, point):
-        """Evaluate at a rational point given as {name: Fraction}."""
+        """Evaluate at a rational point given as {name: Fraction}.  Only the
+        variables the polynomial uses are read, each once, and each power
+        of a value is built once per call."""
+        used = reduce(or_, self._t, 0)
+        fields = [(s, Fraction(point[name]), {})
+                  for name, s in zip(self.ring.names, self.ring._shifts)
+                  if used >> s & _FIELD]
         total = Fraction(0)
-        fields = tuple(zip(self.ring.names, self.ring._shifts))
         for key, c in self._t.items():
-            val = c
-            for name, s in fields:
+            for s, x, powers in fields:
                 d = key >> s & _FIELD
                 if d:
-                    val *= Fraction(point[name]) ** d
-            total += val
+                    power = powers.get(d)
+                    if power is None:
+                        power = powers[d] = x ** d
+                    c *= power
+            total += c
         return total
 
     def eval_series(self, args, power_cache=None):

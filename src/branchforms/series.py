@@ -27,10 +27,10 @@ a rational p/q only: it multiplies the numerators by p and the
 denominator by q.  So series arithmetic is integer arithmetic throughout,
 concrete or parametric; `coeff(i)` and `leading()` give the true values.
 
-Zero tests here are syntactic and read the numerators; a parametric run
-decides the vanishing of a coefficient through its constraint oracle
-instead, which sees a numerator: a positive integer multiple of the true
-coefficient.
+Zero tests are syntactic and read the numerators.  Over a family a
+nonzero numerator counts as nonzero, and `strata` reads the splits this
+makes off the finished run from the numerators too: each is a positive
+integer multiple of the true coefficient.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ space into a vanishing locus and its complement.  A run goes on as the
 complement (the generic child) and records the split; each vanishing
 child runs again from the ring basis, on its parent's substituted family
 with its own equality substituted.  The leaves of the split tree are the
-strata, each with one value set Lambda and a rational witness.
+strata, each with one value set Lambda and a rational witness.  The runs
+make no zero test: their splits are read off them when they end.
 `stratify` walks the whole tree; `find_witness` walks it towards one
 target Lambda, stopping each run where its Lambda leaves the target.
 """
@@ -32,26 +33,18 @@ from .valueset import ValueSet
 
 
 class ConstraintOracle:
-    """Zero test for series coefficients under nonzero-assumptions.
+    """The nonzero assumptions of one run and the splits that made them.
 
-    It reads series numerators: an int decides itself, and a Poly (which
-    has a non-constant term) is zero-free exactly when all its irreducible
-    factors are assumed nonzero.  A coefficient with factors not yet
-    assumed is a case split: the oracle appends those factors to its
-    ordered `nonzero` list, records their tuple in `splits` and answers
-    "nonzero", so the run goes on as the generic child of the split.  That is what a rerun of the generic child
-    would do: its assumptions contain the parent's, so every earlier zero
-    test comes out the same.  A series hands the oracle its numerators,
-    positive integer multiples of the true coefficients, and a polynomial
-    has the factors of its normalized form; so `factors` memoizes
-    `irreducible_factors` by `c.normalized()`, one factorization per
-    polynomial up to a constant factor.  `stratify` hands one dict to
-    every run of a single call.
-
-    So `is_zero(c)` returns `not c` for every numerator: a split is recorded,
-    never answered "zero".  Callers test `not c` themselves and call the
-    oracle on a coefficient whose vanishing decides a value, only so that
-    it records the split.
+    `is_zero(c)` reads a series numerator and returns nothing: an int
+    decides itself, and a Poly (with a non-constant term) whose
+    irreducible factors are not all assumed nonzero is a case split, whose
+    unknown factors it appends to the ordered `nonzero` list and, as a
+    tuple, to `splits`.  A run tests numerators syntactically and goes on
+    as the generic child of every split, as a rerun of that child would,
+    so `_run_once` hands the oracle its coefficients after the run.
+    `factors` memoizes `irreducible_factors` by `c.normalized()` (a
+    numerator is a positive integer multiple of its coefficient), one dict
+    for every run of a single `stratify` call.
     """
 
     def __init__(self, nonzero=(), factors=None):
@@ -61,7 +54,7 @@ class ConstraintOracle:
 
     def is_zero(self, c):
         if not isinstance(c, Poly):
-            return not c
+            return
         c = c.normalized()
         factors = self.factors.get(c)
         if factors is None:
@@ -70,7 +63,6 @@ class ConstraintOracle:
         if unknown:
             self.nonzero.extend(unknown)
             self.splits.append(unknown)
-        return False
 
 
 @dataclass(frozen=True)
@@ -195,18 +187,13 @@ class _Task:
     base: list
 
 
-def _subs_coeff(c, name, expr):
-    if isinstance(c, Poly):
-        return c.subs({name: expr})
-    return c
-
-
 def _apply_substitution(phi, nonzero, name, expr):
     """Push one solved equality into the family and the assumption set.
 
     Returns (phi', nonzero') or None when an assumption collapses to zero
     (the branch is empty)."""
-    phi2 = phi.map_coeffs(lambda c: _subs_coeff(c, name, expr))
+    phi2 = phi.map_coeffs(
+        lambda c: c.subs({name: expr}) if isinstance(c, Poly) else c)
     out = []
     for f in nonzero:
         f2 = f.subs({name: expr})
@@ -239,11 +226,18 @@ def _run_once(family, task, factors, target=None):
     Taking the task up applies its newest substitution to task.phi and
     task.base, in place, so that its equality children start from them.
 
+    The run cancels every other position whether or not it vanishes, so
+    its splits are read off it when it ends, in the order it met them:
+    the lead of each semiroot pullback (position v_k), then of each kept
+    entry (position value - 1).
+
     Returns (splits, result): the unknown factors of each split in the
     order met, and (Lambda, minimal values, final nonzero assumptions).
     The result is None when an assumption becomes zero (the branch is
-    empty; no split is met then) or when Lambda leaves the target (see
-    `algorithm1_core`); the splits met before that are still returned."""
+    empty; no split is met then) or when Lambda is not the target.  That
+    is exact for a run stopped early (see `algorithm1_core`): its part in
+    [1, m] is final and differs from the target's, and so does the Lambda
+    of the entries kept so far, whose splits are still returned."""
     if task.substitutions:
         applied = _apply_substitution(task.phi, task.base,
                                       *task.substitutions[-1])
@@ -254,12 +248,16 @@ def _run_once(family, task, factors, target=None):
     for f in task.nonzero:
         if f not in nonzero:
             nonzero.append(f)
+    sb = standard_basis_of_ring(task.phi, gamma=family.gamma)
+    entries = algorithm1_core(sb, target=target)
     oracle = ConstraintOracle(nonzero, factors)
-    sb = standard_basis_of_ring(task.phi, gamma=family.gamma, oracle=oracle)
-    entries = algorithm1_core(sb, oracle=oracle, target=target)
-    if entries is None:
-        return tuple(oracle.splits), None
+    for h, v in zip(sb.pullbacks[1:], sb.values[1:]):
+        oracle.is_zero(h.coeffs[v])
+    for e in entries[len(sb.pullbacks):]:
+        oracle.is_zero(e.pull.coeffs[e.value - 1])
     lam = assemble_lambda(entries, family.gamma)
+    if target is not None and lam != target:
+        return tuple(oracle.splits), None
     minimal = tuple(sorted(e.value for e in entries if e.minimal))
     return tuple(oracle.splits), (lam, minimal, tuple(oracle.nonzero))
 
@@ -313,8 +311,9 @@ def _walk(family, max_splits, target=None):
 
     With a target value set, each run stops at the first popped
     S-process value m at which its Lambda leaves the target (see
-    `algorithm1_core`), and the walk yields only the leaves whose runs
-    get to the end.  No leaf whose Lambda is the target is lost:
+    `algorithm1_core`), and the walk yields, besides unresolved leaves,
+    only the leaves whose Lambda is the target (see `_run_once`).  No
+    leaf whose Lambda is the target is lost:
 
     - Prefix finality.  The completion pops S-processes in increasing m,
       and once m is popped the part of Lambda in [1, m] is final.  Had
@@ -417,8 +416,6 @@ def find_witness(gamma, target, max_splits=60, seed=0):
     unresolved = False
     for _depth, _path, stratum in _walk(family, max_splits, target):
         if stratum.status == "resolved":
-            if stratum.lambda_set != target:
-                continue
             point = _sample_witness(family, stratum, random.Random(seed))
             if point is not None:
                 return family.member(point), unresolved

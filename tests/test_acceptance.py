@@ -147,7 +147,7 @@ def test_criterion_6_two_branch_tuples():
     p2 = BranchParametrization.plane(2, {3: 1})
     t1 = eval_form_orders_multi([p1, p2], w1 + differential(f1))
     t2 = eval_form_orders_multi([p1, p2], w2 + differential(f2))
-    t3 = eval_form_orders_multi([p1, p2], (w1 + differential(f1)).mul_poly(X))
+    t3 = eval_form_orders_multi([p1, p2], (w1 + differential(f1)).scale(X))
     ok = (t1, t2, t3) == ((6, 7), (7, 6), (8, 9))
     report(6, f"two-branch value tuples {t1}, {t2}, {t3} == (6,7), (7,6), "
               f"(8,9)", ok)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from branchforms import (BranchParametrization, DomainError, NumericalSemigroup,
                          ValidationError, characteristic_sequence, coordinate_ring,
                          default_precision, nu, semigroup_of, standard_basis_of_ring)
+from branchforms import branch
+from branchforms.poly import Ring
+from branchforms.strata import normal_form_family
 from branchforms.series import AbovePrecision
-from branchforms.strata import ConstraintOracle
 
 
 def test_characteristic_exponents_direct():
@@ -151,13 +153,38 @@ def test_representatives_pull_back_to_the_basis_series(n, y):
 
 @pytest.mark.parametrize("n, y", [(6, {9: 1, 10: 1}), (4, {8: 1, 10: 1, 13: 1}),
                                   (8, {12: 1, 14: 1, 15: 1})])
-def test_basis_under_an_oracle_builds_no_representatives(n, y):
+def test_basis_over_a_parameter_ring_builds_no_representatives(n, y):
+    # The tower builds representatives when y's series holds rationals;
+    # the same branch with its coefficients read as constants of a
+    # parameter ring is a family run: the same pullbacks, no polynomials.
     phi = BranchParametrization.plane(n, y)
     concrete = standard_basis_of_ring(phi)
-    under_oracle = standard_basis_of_ring(phi, oracle=ConstraintOracle())
-    assert under_oracle.polys is None
-    assert under_oracle.pullbacks == concrete.pullbacks
-    assert under_oracle.values == concrete.values
+    assert concrete.polys is not None
+    over_ring = standard_basis_of_ring(phi.map_coeffs(Ring(("a",)).constant))
+    assert over_ring.polys is None
+    assert over_ring.pullbacks == concrete.pullbacks
+    assert over_ring.values == concrete.values
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (4, 6, 13), (8, 12, 26, 53), (7, 9)])
+def test_the_tower_reduces_once_per_level(monkeypatch, gens):
+    # one `_reduce` call builds each semiroot pullback, concrete or over
+    # the family
+    calls = []
+    real = branch._reduce
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(branch, "_reduce", counted)
+    gamma = NumericalSemigroup(gens)
+    family = normal_form_family(gamma)
+    point = {n: Fraction(i + 2, 3) for i, n in enumerate(family.ring.names)}
+    for phi in (family.phi, family.member(point)):
+        calls.clear()
+        standard_basis_of_ring(phi, gamma=gamma)
+        assert calls == list(gamma.generators[1:])
 
 
 @pytest.mark.parametrize("n, y", [(6, {9: 1, 10: 1}), (4, {8: 1, 10: 1, 13: 1}),

@@ -259,6 +259,27 @@ def test_set_from_file(tmp_path, capsys):
     assert out["generators"] == [2, 5]
 
 
+@pytest.mark.parametrize("name, content, detail", [
+    ("missing.json", None, "no such file"),
+    ("folder", "dir", "cannot read"),
+    ("latin1.json", b'{"n":2,"y":[[3,"\xe9"]]}', "not UTF-8 text"),
+])
+def test_an_unreadable_input_file_is_a_usage_error(tmp_path, capsys, name, content,
+                                                   detail):
+    # a path that is missing, a directory or not UTF-8 text gets the usage
+    # JSON, not a traceback
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    for argv in (("lambda", "--branch", str(path)),
+                 ("recover-gamma", "--set", str(path))):
+        code, out = invoke(capsys, *argv)
+        assert code == 2
+        assert out["error"] == "usage" and detail in out["detail"]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, out = invoke(capsys, "frobnicate")
     assert code == 2

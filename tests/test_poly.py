@@ -271,6 +271,15 @@ def test_packed_subs_matches_termwise_reference(p, mapping, values):
     assert S.eval(point) == P.eval({**point, **moved})
 
 
+@settings(max_examples=150, deadline=None)
+@given(ref_polys, st.lists(ref_coeffs | st.integers(-3, 3), min_size=3, max_size=3))
+def test_eval_matches_subs_to_constants(p, values):
+    # a point that names only the variables used is enough
+    P = make(p)
+    point = {n: v for n, v in zip(ABC.names, values) if n in P.variables()}
+    assert P.eval(point) == P.subs(point).constant_value()
+
+
 def test_subs_drops_cancelled_terms_and_checks_exponents_and_rings():
     a, b, c = ABC.gens()
     assert (a * c - b * c + 1).subs({"a": b}).terms == {(0, 0, 0): 1}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,6 @@ from branchforms import (DomainError, NumericalSemigroup, Poly, ValueSet,
                          algorithm1_lambda, is_covered, normal_form_family,
                          recover_gamma, standard_basis_of_ring, stratify)
 from branchforms import strata
-from branchforms.strata import ConstraintOracle
 
 ROWS_6919 = [
     (16, 22, 26, 29, 32, 35, 41),
@@ -152,8 +152,7 @@ def test_one_parametric_run_per_leaf(monkeypatch, gens, runs):
 @pytest.mark.parametrize("gens", [(6, 9, 19), (4, 6, 13), (5, 7)])
 def test_parametric_basis_specialises_to_the_member_basis(gens):
     family = normal_form_family(NumericalSemigroup(gens))
-    sb = standard_basis_of_ring(family.phi, gamma=family.gamma,
-                                oracle=ConstraintOracle(family.base_nonzero))
+    sb = standard_basis_of_ring(family.phi, gamma=family.gamma)
     assert sb.polys is None
     point = {n: Fraction(i + 2, 3) for i, n in enumerate(family.ring.names)}
     member = standard_basis_of_ring(family.member(point))
@@ -305,3 +304,75 @@ def test_map_coeffs_adds_no_polynomials(monkeypatch):
     phi = family.phi.map_coeffs(lambda c: c)
     assert not calls
     assert phi.coords == family.phi.coords
+
+
+def _leaf_key(leaf):
+    depth, path, s = leaf
+    return (depth, path, s.equalities, s.nonzero, s.substitutions, s.lambda_set,
+            s.minimal_values)
+
+
+@pytest.mark.parametrize("gens", [(6, 9, 19), (6, 13)])
+def test_a_target_walk_yields_exactly_the_leaves_with_that_lambda(gens):
+    # A run stopped where its Lambda leaves the target yields no leaf, and a
+    # run that ends yields one only when its Lambda is the target: the same
+    # leaves, in the same order, as the whole walk has for that Lambda.
+    family = normal_form_family(NumericalSemigroup(gens))
+    full = [leaf for leaf in strata._walk(family, 60) if leaf[2].status == "resolved"]
+    lambdas = {leaf[2].lambda_set for leaf in full}
+    assert len(lambdas) > 1
+    for lam in lambdas:
+        pruned = [_leaf_key(leaf) for leaf in strata._walk(family, 60, lam)
+                  if leaf[2].status == "resolved"]
+        assert pruned == [_leaf_key(leaf) for leaf in full if leaf[2].lambda_set == lam]
+
+
+# Per class: the zero tests the oracle records and the splits of each run,
+# over one stratify and over find_witness for its first two Lambdas (count
+# and a sha256 prefix of their str, one per line), recorded with the oracle
+# called inside the runs; reading the splits after each run gives the same.
+SPLIT_RECORD = {
+    (6, 9, 19): [(27, "40e1aa70d204", 6, "557437e87ef9"),
+                 (17, "2446298d0f42", 4, "246742f6d588"),
+                 (5, "fac84410db03", 1, "6a952e15f39b")],
+    (7, 9): [(37, "4043b8910254", 16, "f2927037b070"),
+             (2, "436ff6f5e10c", 1, "3c5f9fe717b8"),
+             (5, "b2227d98cdd9", 2, "0c25b81ce15e")],
+    (6, 13): [(78, "cc9a6d4abf47", 29, "22ef03e19f29"),
+              (6, "678f86dd8600", 3, "f5f03489bb63"),
+              (5, "52f78b31b979", 2, "e9c6826ac306")],
+}
+
+
+@pytest.mark.parametrize("gens", sorted(SPLIT_RECORD))
+def test_zero_tests_and_splits_match_the_record(monkeypatch, gens):
+    calls, runs = [], []
+    real_is_zero, real_run = strata.ConstraintOracle.is_zero, strata._run_once
+
+    def is_zero(self, c):
+        calls.append(str(c) if isinstance(c, Poly) else repr(c))
+        return real_is_zero(self, c)
+
+    def run(*args):
+        out = real_run(*args)
+        runs.append(repr(out[0]))
+        return out
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+
+    def record():
+        out = (len(calls), digest(calls), len(runs), digest(runs))
+        calls.clear()
+        runs.clear()
+        return out
+
+    monkeypatch.setattr(strata.ConstraintOracle, "is_zero", is_zero)
+    monkeypatch.setattr(strata, "_run_once", run)
+    gamma = NumericalSemigroup(gens)
+    rep = stratify(gamma)
+    got = [record()]
+    for lam in rep.lambdas[:2]:
+        strata.find_witness(gamma, lam)
+        got.append(record())
+    assert got == SPLIT_RECORD[gens]
