@@ -222,13 +222,13 @@ def standard_basis_of_ring(phi, gamma=None):
     """Minimal standard basis of the local ring via a semiroot tower.
 
     Starting from x, each next pullback h_{k+1} comes from y (k = 0) or
-    from the power h_k^{n_k} by `_reduce`, the loop the 1-form completion
-    runs (`forms.reduce_form`): the leading term at each order o <
-    v_{k+1} is cancelled against the product of basis pullbacks that
-    Gamma's unique representation of o names.  An order below v_{k+1}
-    that lies in Gamma is a sum of v_0, ..., v_k only, so that product
-    uses the pullbacks already built; an order outside Gamma is a
-    DomainError.
+    from the power h_k^{n_k} by `_reduce`, the loop that a 1-form
+    completion run (`forms._Completion`) reduces with too: the leading
+    term at each order o < v_{k+1} is cancelled against the product of
+    basis pullbacks that Gamma's unique representation of o names.  An
+    order below v_{k+1} that lies in Gamma is a sum of v_0, ..., v_k only,
+    so that product uses the pullbacks already built; an order outside
+    Gamma is a DomainError.
 
     The tower reduces pullbacks only.  When y's series holds rationals
     (no parameter ring) the run is concrete: it records each cancel step

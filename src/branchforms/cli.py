@@ -137,6 +137,13 @@ def _cmd_decide(args):
     return jsonio.decision_to_json(decision)
 
 
+def _nonnegative_int(text):
+    """The argparse type of --max-splits."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse usage error raises ValidationError, so that it ends in
     the usage JSON like every other malformed input; the usage line still
@@ -177,13 +184,13 @@ def _build_parser():
 
     p = sub.add_parser("stratify", help="all attainable value sets for a semigroup")
     p.add_argument("--gens", required=True)
-    p.add_argument("--max-splits", type=int, default=60)
+    p.add_argument("--max-splits", type=_nonnegative_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_stratify)
 
     p = sub.add_parser("decide", help="is L the value set of 1-forms of a plane branch?")
     p.add_argument("--set", required=True, help="value set JSON (inline or path)")
-    p.add_argument("--max-splits", type=int, default=60)
+    p.add_argument("--max-splits", type=_nonnegative_int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_decide)
 

@@ -193,26 +193,77 @@ class FormValueBasis:
         return tuple(e.value for e in self.entries if e.minimal)
 
 
-class _Reducers:
-    """The multiples of entries that one completion run cancels with.
+class _Completion:
+    """One run of the completion over the differentials of the ring
+    standard basis sb; `run()` returns the FormEntry list making up a
+    standard basis of the pulled-back 1-form module, in discovery order.
+
+    State: `entries`, only appended; `heap`, the minimal S-processes (m,
+    push counter, p, q, alpha, gamma) of each pair p < q, pushed once in
+    `combinations` order, so ties on m pop in push order; `have`, Lambda
+    below mu so far as a bitset (each entry sets v + Gamma); `stop`, the
+    highest value below mu that `have` lacks; `want`, the target's bitset.
 
     A multiple (s, i) is the product of ring-basis powers named by the
-    exponent vector s times entry i.  Its pullback comes from the run's
-    `_ProductCache` of basis pullbacks; a value's reducer, the first
-    entry in discovery order whose value it exceeds by a member of Gamma,
-    is built once and kept by value: entries are only appended, so it
-    never changes once it exists.  In a concrete run (`polys`, the
-    representatives, not None) the 1-form of a multiple is built once
-    too, and only for the elements the run keeps (`certify`).  s = 0
-    names the entry itself."""
+    exponent vector s times entry i (s = 0: the entry itself).  A value's
+    reducer, the first entry in discovery order whose value it exceeds by
+    a member of Gamma, is built once and kept by value: entries are only
+    appended, so it never changes.  A concrete run (representatives
+    `sb.polys`) builds the 1-form of a multiple once too, and only for the
+    elements it keeps; in a parametric run FormEntry.form is None.
 
-    def __init__(self, sb, entries):
-        self.gamma = sb.gamma
-        self.entries = entries
+    Prefix finality: S-processes pop in increasing matched value m, and
+    once m is popped the part of Lambda in [1, m] is final: the S-process
+    of value m cancels its order m - 1, so what it leaves has value at
+    least m + 1, and every S-process pushed later pairs an entry of value
+    above m.
+
+    The stop at the conductor of Lambda: `stop` starts at mu - 1, which is
+    not in Gamma and so in no v_i + Gamma, and only falls.  Every value
+    above stop has a reducer, so a chain reaching position stop (stored:
+    series have length >= mu - 1) would cancel up to the bound and be
+    discarded; `reduce_form` drops it there, and the run ends at the first
+    pop with m >= stop, whose S-process starts at position m.  Entries and
+    steps stay those of a run to the bound.  With a target, the first pop
+    whose `have` and `want` differ in [1, m] ends the run: it cannot end
+    at the target, and the entries kept so far differ from it in [1, m].
+    """
+
+    def __init__(self, sb, target=None):
+        gamma = self.gamma = sb.gamma
+        bound = gamma.conductor - 1   # -1 for <1>, whose stop stays 0
+        self.entries, self.heap, self.have, self.stop = [], [], 0, max(bound, 0)
+        self.want = None if target is None else int(
+            "".join("01"[z in target] for z in range(bound, 0, -1)) + "0", 2)
         self.pulls = _ProductCache(sb.pullbacks)
         self.polys = None if sb.polys is None else _ProductCache(sb.polys)
-        self._by_value = {}
-        self._forms = {}
+        self._by_value, self._forms, self._counter = {}, {}, itertools.count()
+
+        # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
+        # is the derivative of the basis pullback.  Basis pullbacks keep exact
+        # (syntactic) zeros below their order, so the lead is read off directly.
+        for k, (b, v) in enumerate(zip(sb.pullbacks, sb.values)):
+            pull = b.derivative()
+            lead = pull.leading()
+            assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
+                f"nu(dh) = {lead} expected value {v}"
+            self._keep(FormEntry(None if sb.polys is None else
+                                 differential(sb.polys[k]), pull, v))
+        self._push(itertools.combinations(range(len(self.entries)), 2))
+
+    def _keep(self, entry):
+        self.entries.append(entry)
+        self.have |= self.gamma._bits << entry.value
+        while self.have >> self.stop & 1:
+            self.stop -= 1
+
+    def _push(self, pairs):
+        for p, q in pairs:
+            for alpha, gamma_v, m in minimal_s_processes(
+                    self.entries[p].value, self.entries[q].value,
+                    self.gamma.generators, self.gamma.conductor - 2):
+                heapq.heappush(self.heap,
+                               (m, next(self._counter), p, q, alpha, gamma_v))
 
     def pull(self, s, i):
         prod, pull = self.pulls.product(s), self.entries[i].pull
@@ -220,9 +271,8 @@ class _Reducers:
 
     def of(self, value):
         """(pullback, s, i) of value's reducer, or None when no entry
-        reduces value.  Gamma's representation of the difference is
-        computed for the reducer alone, to name its product of basis
-        powers."""
+        reduces value; Gamma's representation of the difference is computed
+        for the reducer alone, to name its product of basis powers."""
         red = self._by_value.get(value)
         if red is None:
             i = next((i for i, e in enumerate(self.entries)
@@ -252,102 +302,44 @@ class _Reducers:
         (a, b, alpha, p), *rest = steps
         return _replay(self.form(alpha, p).scale(Fraction(a, b)), rest, self.form)
 
+    def run(self):
+        """The pop loop; returns the entries."""
+        heap, entries = self.heap, self.entries
+        while heap and heap[0][0] < self.stop:
+            m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
+            if self.want is not None and (self.have ^ self.want) & ((2 << m) - 1):
+                break
+            sp, sq = self.pull(alpha, p), self.pull(gamma_v, q)
+            assert sp.order() == sq.order() == m - 1
+            steps = None if self.polys is None else [
+                (sq.coeffs[m - 1], sq.den, alpha, p),
+                (sp.coeffs[m - 1], sp.den, gamma_v, q)]
+            result = reduce_form(_cancel(sp, sq, m - 1, cross=True), steps, self)
+            if result is not None:
+                self._keep(result)
+                self._push((p, len(entries) - 1) for p in range(len(entries) - 1))
+        return entries
 
-def reduce_form(pull, steps, reducers, stop):
-    """Final reduction of the pullback pull modulo the current basis by
-    `branch._reduce`: a FormEntry with the first value that has no
-    reducer, or None (discard) when nothing is left below stop (see
-    `algorithm1_core`).
 
-    steps, in a concrete run, holds the S-process that made pull (see
-    `_Reducers.certify`); each cancel step appends its scalar, the true
-    coefficient ratio, and its reducer, and a kept element gets its 1-form
-    by replaying them.  A parametric run passes None and keeps no steps.
+def reduce_form(pull, steps, run):
+    """Final reduction of the pullback pull modulo the basis of the
+    `_Completion` run by `branch._reduce`: a FormEntry with the first value
+    that has no reducer, or None (discard) when nothing is left below stop.
+
+    steps, in a concrete run, holds the S-process that made pull; each
+    cancel step appends its scalar and its reducer, for `certify` to
+    replay.  A parametric run passes None and keeps no steps.
     """
-    pull, o = _reduce(pull, steps, lambda o: reducers.of(o + 1), stop)
-    if o == stop:
+    pull, o = _reduce(pull, steps, lambda o: run.of(o + 1), run.stop)
+    if o == run.stop:
         return None
-    return FormEntry(reducers.certify(steps), pull, o + 1)
+    return FormEntry(run.certify(steps), pull, o + 1)
 
 
 def algorithm1_core(sb, target=None):
-    """Completion loop over the differentials of the ring standard basis.
-
-    Returns the list of FormEntry making up a standard basis of the
-    pulled-back 1-form module, in discovery order.  A basis with
-    representatives (`sb.polys`) makes a concrete run, whose kept entries
-    carry the 1-form certifying their value, built from the steps of their
-    reduction; without them (a parametric basis, whose callers read values
-    only) FormEntry.form is None.
-
-    S-processes are popped in increasing matched value m, and once m is
-    popped the part of Lambda in [1, m] is final: the S-process of value m
-    cancels its order m - 1, so what it leaves has value at least m + 1, and
-    every S-process pushed later pairs an entry of value above m.  The loop
-    keeps Lambda's part below mu as a bitset (each entry marks v + Gamma)
-    and stop, the highest value below mu it lacks: mu - 1 at first, then
-    only falling.  Every value above stop has a reducer, so a chain reaching
-    position stop (stored: series have length >= mu - 1) would cancel up to
-    the bound and be discarded; `reduce_form` drops it there, and the run
-    ends at the first pop with m >= stop, whose S-process starts at position
-    m.  Entries and steps stay those of a run to the bound.  With a target
-    value set the bitset is compared with the target's part in [1, m] at
-    each pop: on the first difference the run cannot end at the target,
-    and it stops there and returns the entries kept so far, whose Lambda
-    differs from the target in [1, m].
-    """
-    gamma = sb.gamma
-    bound = gamma.conductor - 1
-    concrete = sb.polys is not None
-
-    # phi^*(dh) = d(phi^*(h))/dt dt, so the pullback of each differential
-    # is the derivative of the basis pullback.  Basis pullbacks keep exact
-    # (syntactic) zeros below their order, so the lead is read off directly.
-    entries, have, stop = [], 0, bound
-    for k, (b, v) in enumerate(zip(sb.pullbacks, sb.values)):
-        pull = b.derivative()
-        lead = pull.leading()
-        assert not isinstance(lead, AbovePrecision) and lead[0] + 1 == v, \
-            f"nu(dh) = {lead} expected value {v}"
-        entries.append(FormEntry(differential(sb.polys[k]) if concrete else None,
-                                 pull, v))
-        have |= gamma._bits << v
-    reducers = _Reducers(sb, entries)
-    if target is not None:
-        want = int("".join("01"[z in target] for z in range(bound, 0, -1)) + "0", 2)
-
-    heap = []
-    counter = itertools.count()
-
-    def push(p, q):
-        for alpha, gamma_v, m in minimal_s_processes(
-                entries[p].value, entries[q].value, gamma.generators, bound - 1):
-            heapq.heappush(heap, (m, next(counter), p, q, alpha, gamma_v))
-
-    # Each pair p < q is pushed once: the initial entries in row-major
-    # order, then each new entry with every earlier one.
-    for p, q in itertools.combinations(range(len(entries)), 2):
-        push(p, q)
-
-    while heap and heap[0][0] < stop:
-        m, _, p, q, alpha, gamma_v = heapq.heappop(heap)
-        if target is not None and (have ^ want) & ((2 << m) - 1):
-            break
-        sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
-        assert sp.order() == sq.order() == m - 1
-        steps = [(sq.coeffs[m - 1], sq.den, alpha, p),
-                 (sp.coeffs[m - 1], sp.den, gamma_v, q)] if concrete else None
-        s = _cancel(sp, sq, m - 1, cross=True)
-        result = reduce_form(s, steps, reducers, stop)
-        if result is not None:
-            entries.append(result)
-            have |= gamma._bits << result.value
-            while have >> stop & 1:
-                stop -= 1
-            for p in range(len(entries) - 1):
-                push(p, len(entries) - 1)
-
-    return entries
+    """The entries of one completion run over the ring standard basis sb,
+    stopped early when its Lambda leaves the target (see `_Completion`)."""
+    return _Completion(sb, target).run()
 
 
 def assemble_lambda(entries, gamma):

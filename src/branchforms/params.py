@@ -7,19 +7,18 @@ factors are the variables of m and that cofactor, and they are answered
 here in `sympy.factor_list`'s order; sympy is imported only for the
 polynomials this cannot settle.
 
-`ParamPoly` and `ParamRing` are other names of `poly.Poly` and `poly.Ring`
-(the same classes, not subclasses), kept for code that imports them from
-here: the `params.mul` span of `perfbench/spans.py` binds `ParamPoly`.
+`ParamPoly` is another name of `poly.Poly` (the same class, not a
+subclass), kept because the `params.mul` span of `perfbench/spans.py`
+binds it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, Ring, _exact
+from .poly import Poly, _exact
 
 ParamPoly = Poly
-ParamRing = Ring
 
 
 def _factors_in_house(p):

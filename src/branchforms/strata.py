@@ -235,7 +235,7 @@ def _run_once(family, task, factors, target=None):
     order met, and (Lambda, minimal values, final nonzero assumptions).
     The result is None when an assumption becomes zero (the branch is
     empty; no split is met then) or when Lambda is not the target.  That
-    is exact for a run stopped early (see `algorithm1_core`): its part in
+    is exact for a run stopped early (see `forms._Completion`): its part in
     [1, m] is final and differs from the target's, and so does the Lambda
     of the entries kept so far, whose splits are still returned."""
     if task.substitutions:
@@ -311,7 +311,7 @@ def _walk(family, max_splits, target=None):
 
     With a target value set, each run stops at the first popped
     S-process value m at which its Lambda leaves the target (see
-    `algorithm1_core`), and the walk yields, besides unresolved leaves,
+    `forms._Completion`), and the walk yields, besides unresolved leaves,
     only the leaves whose Lambda is the target (see `_run_once`).  No
     leaf whose Lambda is the target is lost:
 

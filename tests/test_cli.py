@@ -292,10 +292,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
     ("lambda", "--branch", '{"n":2,"y":[[3,"1"]]}', "--precision", "5"),
     ("lambda",),
     ("stratify", "--gens", "5,7", "--max-splits", "many"),
+    ("stratify", "--gens", "3,5", "--max-splits", "-1"),
+    ("decide", "--set", '{"elements":[6,9,12,15,16,18,19,21,22,24,25],"cofinal":27}',
+     "--max-splits", "-1"),
 ])
 def test_argparse_errors_print_the_usage_json(capsys, argv):
     # unknown flags (the removed --jobs and lambda --precision among them),
-    # a missing and a malformed argument
+    # a missing, a malformed and a negative argument
     code, out = invoke(capsys, *argv)
     assert code == 2
     assert out["error"] == "usage" and out["detail"]

@@ -383,24 +383,26 @@ def _stop_branches():
 
 @pytest.mark.parametrize("phi", list(_stop_branches()))
 def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
-    # stop is the highest value below mu that the final Lambda lacks.  Every
-    # value above it has a reducer, so each minimal S-process of the final
-    # entries with m >= stop, reduced up to the full bound mu - 1, ends
-    # discarded: a run that ends at stop loses no entry.
+    # A finished run's stop is the highest value below mu that its Lambda
+    # lacks.  Every value above it has a reducer, so each minimal S-process
+    # of the final entries with m >= stop, reduced up to the full bound
+    # mu - 1, ends discarded: a run that ends at stop loses no entry.
     sb = standard_basis_of_ring(phi)
     gens, mu = sb.gamma.generators, sb.gamma.conductor
-    entries = algorithm1_core(sb)
-    reducers = forms._Reducers(sb, entries)
-    stop = max(z for z in range(1, mu) if reducers.of(z) is None)
-    assert all(reducers.of(z) is not None for z in range(stop + 1, mu))
+    run = forms._Completion(sb)
+    entries = run.run()
+    stop = max(z for z in range(1, mu) if run.of(z) is None)
+    assert run.stop == stop
+    assert all(run.of(z) is not None for z in range(stop + 1, mu))
+    run.stop = mu - 1
     late = 0
     for p, q in itertools.combinations(range(len(entries)), 2):
         for alpha, gamma_v, m in minimal_s_processes(
                 entries[p].value, entries[q].value, gens, mu - 2):
             if m >= stop:
-                sp, sq = reducers.pull(alpha, p), reducers.pull(gamma_v, q)
+                sp, sq = run.pull(alpha, p), run.pull(gamma_v, q)
                 s = forms._cancel(sp, sq, m - 1, cross=True)
-                assert forms.reduce_form(s, None, reducers, mu - 1) is None
+                assert forms.reduce_form(s, None, run) is None
                 late += 1
     assert late
 
