@@ -4,8 +4,9 @@ local ring.
 
 A parametrization is stored exactly as sparse coordinate polynomials in t,
 so truncated series can be materialized at any precision the computation
-needs; a Lambda run works at the one length `default_precision` reads off
-the value semigroup.
+needs: the ring standard basis at the length `default_precision` reads off
+the value semigroup, and a completion run cuts it further (see
+`forms._Completion`).
 """
 
 from __future__ import annotations
@@ -121,13 +122,14 @@ def semigroup_of(phi):
 
 
 def default_precision(gamma):
-    """Length of every series in a Lambda run: max(mu - 1, v_g) + 1.
+    """Length of the ring standard basis pullbacks: max(mu - 1, v_g) + 1.
 
-    The completion reads the pullbacks of differentials below mu - 1 in
-    its reductions and at v_i - 1 in its lead checks, and the semiroot
-    tower reads positions up to v_g; coefficient k of a truncated product
+    The semiroot tower reads positions up to v_g, and the completion reads
+    the pullbacks of differentials below mu - 1 in its reductions and at
+    v_i - 1 in its lead checks; coefficient k of a truncated product
     depends only on operand coefficients up to k, so no position that is
-    read depends on one that is cut."""
+    read depends on one that is cut.  A completion run builds its
+    multiples shorter still, at its own length (see `forms._Completion`)."""
     return max(gamma.conductor - 1, gamma.generators[-1]) + 1
 
 

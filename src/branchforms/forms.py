@@ -18,7 +18,7 @@ import itertools
 from .branch import (_cancel, _pullback_degree, _reduce, _replay, semigroup_of,
                      standard_basis_of_ring)
 from .errors import DomainError, ValidationError
-from .series import AbovePrecision, TruncatedSeries, _ProductCache
+from .series import AbovePrecision, TruncatedSeries, _cut, _ProductCache
 from .valueset import ValueSet
 
 
@@ -220,13 +220,22 @@ class _Completion:
 
     The stop at the conductor of Lambda: `stop` starts at mu - 1, which is
     not in Gamma and so in no v_i + Gamma, and only falls.  Every value
-    above stop has a reducer, so a chain reaching position stop (stored:
-    series have length >= mu - 1) would cancel up to the bound and be
-    discarded; `reduce_form` drops it there, and the run ends at the first
-    pop with m >= stop, whose S-process starts at position m.  Entries and
-    steps stay those of a run to the bound.  With a target, the first pop
-    whose `have` and `want` differ in [1, m] ends the run: it cannot end
-    at the target, and the entries kept so far differ from it in [1, m].
+    above stop has a reducer, so a chain reaching position stop would
+    cancel up to the bound and be discarded; `reduce_form` drops it there,
+    and the run ends at the first pop with m >= stop, whose S-process
+    starts at position m.  Entries and steps stay those of a run to the
+    bound.  With a target, the first pop whose `have` and `want` differ in
+    [1, m] ends the run: it cannot end at the target, and the entries kept
+    so far differ from it in [1, m].
+
+    The run's length: no position at or above stop is read, so `pull`
+    builds every multiple at the length n = stop + 1 it has at that
+    moment, from the entry's pullback and the basis elements cut to n.
+    Coefficient k of a truncated product depends only on operand
+    coefficients up to k, so each position read is that of the full-length
+    series; n only falls with stop, so a product or reducer built earlier
+    is longer than needed and stays valid, and a linear combination takes
+    the shorter operand's length.
     """
 
     def __init__(self, sb, target=None):
@@ -266,7 +275,8 @@ class _Completion:
                                (m, next(self._counter), p, q, alpha, gamma_v))
 
     def pull(self, s, i):
-        prod, pull = self.pulls.product(s), self.entries[i].pull
+        n = self.stop + 1
+        prod, pull = self.pulls.product(s, n), _cut(self.entries[i].pull, n)
         return pull if prod is None else prod * pull
 
     def of(self, value):

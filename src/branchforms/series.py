@@ -240,37 +240,47 @@ class TruncatedSeries:
         return f"<{body} + O(t^{self.precision})>"
 
 
+def _cut(s, n):
+    """s cut to its first n positions (s itself when no longer, or n None)."""
+    if n is None or s.precision <= n:
+        return s
+    return TruncatedSeries(s.coeffs[:n], n, s.den, s.ring)
+
+
 class _ProductCache:
     """Products of powers of a basis of series or of polynomials.  The basis
     list may grow while the cache is in use; a product only reads the
-    elements it names."""
+    elements it names.
+
+    Over series, a caller may pass a length n that only falls between
+    calls (`forms._Completion` says why that is exact): powers are built
+    from basis elements cut to n and returned cut to n, and a product
+    cached at a larger n comes back as stored."""
 
     def __init__(self, basis):
         self.basis = basis
         self._pow = {}
         self._prod = {}
 
-    def power(self, i, d):
+    def power(self, i, d, n=None):
         """basis[i] ** d (d >= 1), squared from the element itself."""
-        if d == 1:
-            return self.basis[i]
-        p = self._pow.get((i, d))
+        p = self.basis[i] if d == 1 else self._pow.get((i, d))
         if p is None:
-            half = self.power(i, d >> 1)
+            half = self.power(i, d >> 1, n)
             p = half * half
             if d & 1:
-                p = p * self.basis[i]
+                p = p * self.power(i, 1, n)
             self._pow[i, d] = p
-        return p
+        return _cut(p, n)
 
-    def product(self, delta):
+    def product(self, delta, n=None):
         """The product of basis[i] ** delta[i]; None when it is empty."""
         delta = tuple(delta)
         if delta not in self._prod:
             out = None
             for i, d in enumerate(delta):
                 if d:
-                    p = self.power(i, d)
+                    p = self.power(i, d, n)
                     out = p if out is None else out * p
             self._prod[delta] = out
         return self._prod[delta]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branch import BranchParametrization, standard_basis_of_ring
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .forms import algorithm1_core, algorithm1_lambda, assemble_lambda
 from .params import irreducible_factors
 from .poly import Poly, Ring
@@ -375,6 +375,8 @@ def stratify(gamma, max_splits=60, seed=0):
     `random.Random(seed)` and re-checked by a concrete run.  A stratum in
     which no rational witness is found is unresolved.
     """
+    if max_splits < 0:
+        raise ValidationError(f"max_splits must be nonnegative, got {max_splits}")
     family = normal_form_family(gamma)
     gamma = family.gamma
     rng = random.Random(seed)
@@ -412,6 +414,8 @@ def find_witness(gamma, target, max_splits=60, seed=0):
     met (a nonlinear equality, the spent split budget, a matching stratum
     with no rational point) left the answer open.
     """
+    if max_splits < 0:
+        raise ValidationError(f"max_splits must be nonnegative, got {max_splits}")
     family = normal_form_family(gamma)
     unresolved = False
     for _depth, _path, stratum in _walk(family, max_splits, target):

@@ -7,13 +7,14 @@ import pytest
 
 from branchforms import (BranchParametrization, DomainError,
                          NumericalSemigroup, OneForm, Poly, ValueSet,
-                         algorithm1_lambda, coordinate_ring, differential, eval_form_order,
+                         algorithm1_lambda, coordinate_ring, default_precision,
+                         differential, eval_form_order,
                          eval_form_orders_multi, minimal_s_processes, nu,
                          normal_form_family, pullback_form, semigroup_of,
                          standard_basis_of_ring, stratify)
 from branchforms import forms
 from branchforms.forms import algorithm1_core, assemble_lambda
-from branchforms.series import AbovePrecision, TruncatedSeries
+from branchforms.series import AbovePrecision, TruncatedSeries, _cut
 from branchforms.strata import _apply_substitution, _run_once, _Task
 from conftest import random_branch
 
@@ -386,7 +387,9 @@ def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
     # A finished run's stop is the highest value below mu that its Lambda
     # lacks.  Every value above it has a reducer, so each minimal S-process
     # of the final entries with m >= stop, reduced up to the full bound
-    # mu - 1, ends discarded: a run that ends at stop loses no entry.
+    # mu - 1, ends discarded: a run that ends at stop loses no entry.  The
+    # run's own series end at stop + 1, so the late reductions go over
+    # each entry's pullback rebuilt at full length from its 1-form.
     sb = standard_basis_of_ring(phi)
     gens, mu = sb.gamma.generators, sb.gamma.conductor
     run = forms._Completion(sb)
@@ -394,7 +397,11 @@ def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
     stop = max(z for z in range(1, mu) if run.of(z) is None)
     assert run.stop == stop
     assert all(run.of(z) is not None for z in range(stop + 1, mu))
-    run.stop = mu - 1
+    coords = phi.series(default_precision(sb.gamma))
+    full = [dataclasses.replace(e, pull=pullback_form(e.form, coords)) for e in entries]
+    assert all(_cut(f.pull, e.pull.precision) == e.pull for e, f in zip(entries, full))
+    run = forms._Completion(sb)
+    run.entries[:], run.stop = full, mu - 1
     late = 0
     for p, q in itertools.combinations(range(len(entries)), 2):
         for alpha, gamma_v, m in minimal_s_processes(
@@ -405,6 +412,28 @@ def test_a_run_stops_where_every_later_s_process_is_discarded(phi):
                 assert forms.reduce_form(s, None, run) is None
                 late += 1
     assert late
+
+
+def test_a_run_builds_its_multiples_at_its_own_length(monkeypatch):
+    # Every multiple a run builds has at most stop + 1 positions at that
+    # moment, concrete or parametric, so it is cut below the length
+    # default_precision(Gamma) - 1 of a differential's pullback as soon as
+    # stop falls: the frontier run ends at 73 of 137.
+    seen = []
+    pull = forms._Completion.pull
+
+    def spy_pull(self, s, i):
+        out = pull(self, s, i)
+        seen.append((out.precision, self.stop + 1,
+                     default_precision(self.gamma) - 1, out.ring is not None))
+        return out
+
+    monkeypatch.setattr(forms._Completion, "pull", spy_pull)
+    algorithm1_lambda(FRONTIER_10_15_33)
+    assert seen[-1] == (73, 73, 137, False)
+    stratify(NumericalSemigroup((6, 9, 19)))
+    assert all(p <= n for p, n, _full, _parametric in seen)
+    assert any(parametric and p < full for p, _n, full, parametric in seen)
 
 
 def test_frontier_run_reduce_count(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from branchforms import (AbovePrecision, Poly, PrecisionError, Ring, TruncatedSeries,
                          coordinate_ring)
 from branchforms.branch import _cancel
-from branchforms.series import _ProductCache
+from branchforms.series import _cut, _ProductCache
 
 
 def series(terms, precision=20):
@@ -75,6 +75,27 @@ def test_pow_matches_repeated_mul():
         assert cache.product((3, 2)) == f * f * f * g * g
 
 
+def test_products_at_a_falling_length():
+    # built at a length n, a power has n positions and a product at least
+    # n, and both equal the full-length ones cut to n, also when n falls
+    # between calls that reuse the powers and products cached before
+    a, b = Ring(("a", "b")).gens()
+    for f, g in (
+            (series([(1, Fraction(1)), (2, Fraction(3)), (7, Fraction(-1, 2))], 30),
+             series([(2, Fraction(-1, 2)), (5, Fraction(2, 3)), (9, Fraction(1))], 30)),
+            (TruncatedSeries.from_terms([(1, a), (2, b * Fraction(1, 2)), (3, 1)], 30),
+             TruncatedSeries.from_terms([(1, Fraction(2, 3)), (2, a - b), (6, b)], 30))):
+        full, cache = _ProductCache([f, g]), _ProductCache([f, g])
+        for n, delta in ((25, (2, 1)), (25, (4, 1)), (18, (4, 2)), (18, (4, 1)),
+                         (11, (9, 3)), (11, (2, 1)), (4, (0, 1)), (4, (1, 0))):
+            got, want = cache.product(delta, n), full.product(delta)
+            assert got.precision >= n
+            assert _cut(got, n) == _cut(want, n)
+            for i, d in enumerate(delta):
+                if d:
+                    assert cache.power(i, d, n) == _cut(full.power(i, d), n)
+
+
 def test_pluggable_zero_test():
     s = series([(2, Fraction(0)), (4, Fraction(7))])
     # the syntactic test ignores the stored zero
@@ -127,11 +148,6 @@ def lifted(vals):
     return s
 
 
-def head(s, p):
-    """The first p coefficients of s, over its denominator."""
-    return TruncatedSeries(s.coeffs[:p], p, s.den, s.ring)
-
-
 def ref_mul(a, b):
     p = min(len(a), len(b))
     return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(p)]
@@ -161,7 +177,7 @@ def test_series_arithmetic_matches_fraction_reference(a, b, q, k):
     else:
         assert sa.leading() == AbovePrecision(len(a))
     assert (sa == sb) == (a == b)
-    assert (head(sa, p) == head(sb, p)) == (a[:p] == b[:p])
+    assert (_cut(sa, p) == _cut(sb, p)) == (a[:p] == b[:p])
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,7 +259,7 @@ def test_poly_numerators_match_poly_reference(a, b, q, k):
     else:
         assert sa.leading() == AbovePrecision(len(a))
     assert (sa == sb) == (a == b)
-    assert (head(sa, p) == head(sb, p)) == (a[:p] == b[:p])
+    assert (_cut(sa, p) == _cut(sb, p)) == (a[:p] == b[:p])
     point = {"a": Fraction(1, 2), "b": Fraction(-2, 3)}
     scaled = sa.scale(q)
     at = [Fraction(x.eval(point) if isinstance(x, Poly) else x) / scaled.den
